@@ -1,7 +1,6 @@
 //! Ablation experiments for the design choices called out in DESIGN.md §5:
 //!
 //! * eager vs rendezvous threshold in the engine,
-//! * marshalling copy vs pinning on the simulated JNI boundary,
 //! * object serialization (`MPI.OBJECT`) vs derived datatypes for strided
 //!   data,
 //! * SPSC ring vs mutex mailbox for the shared-memory fast path,
@@ -17,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use mpi_transport::ring::spsc_ring;
 use mpi_transport::{DeviceKind, Fabric, FabricConfig};
-use mpijava::{Datatype, JniConfig, MarshalMode, MpiRuntime, Serializable};
+use mpijava::{Datatype, MpiRuntime, Serializable};
 
 fn time_it(f: impl FnOnce()) -> Duration {
     let start = Instant::now();
@@ -65,41 +64,7 @@ fn ablation_eager() {
     println!();
 }
 
-/// Ablation 2: marshalling copy vs pin on the simulated JNI boundary.
-fn ablation_pin() {
-    println!("== ablation: JNI marshalling copy vs pin (256 KiB messages, SM) ==");
-    for (label, marshal) in [("copy", MarshalMode::Copy), ("pin", MarshalMode::Pin)] {
-        let runtime = MpiRuntime::new(2).jni(JniConfig {
-            marshal,
-            per_call_cost: Duration::ZERO,
-        });
-        let result = runtime
-            .run(|mpi| {
-                let world = mpi.comm_world();
-                let rank = world.rank()?;
-                let size = 256 * 1024;
-                let buf = vec![1u8; size];
-                let mut recv = vec![0u8; size];
-                let reps = 100;
-                let start = Instant::now();
-                for _ in 0..reps {
-                    if rank == 0 {
-                        world.send(&buf, 0, size, &Datatype::byte(), 1, 0)?;
-                        world.recv(&mut recv, 0, size, &Datatype::byte(), 1, 1)?;
-                    } else {
-                        world.recv(&mut recv, 0, size, &Datatype::byte(), 0, 0)?;
-                        world.send(&recv, 0, size, &Datatype::byte(), 0, 1)?;
-                    }
-                }
-                Ok(start.elapsed().as_secs_f64() * 1e6 / reps as f64 / 2.0)
-            })
-            .expect("run");
-        println!("  marshal = {label:>4}: {:>9.1} us one-way", result[0]);
-    }
-    println!();
-}
-
-/// Ablation 3: sending a strided column as a derived datatype vs as
+/// Ablation 2: sending a strided column as a derived datatype vs as
 /// serialized objects (`MPI.OBJECT`), the §2.2 trade-off.
 fn ablation_serialization() {
     println!("== ablation: derived datatype vs object serialization (strided column) ==");
@@ -160,7 +125,7 @@ fn ablation_serialization() {
     println!();
 }
 
-/// Ablation 4: the lock-free SPSC ring against the mutex mailbox that the
+/// Ablation 3: the lock-free SPSC ring against the mutex mailbox that the
 /// shared-memory device uses.
 fn ablation_ring() {
     println!("== ablation: SPSC ring vs mutex mailbox (1M small transfers) ==");
@@ -224,7 +189,7 @@ fn ablation_ring() {
     println!();
 }
 
-/// Ablation 5: the collective-algorithm axis. Bcast and allreduce at a
+/// Ablation 4: the collective-algorithm axis. Bcast and allreduce at a
 /// bandwidth-bound payload on eight ranks, each algorithm pinned through
 /// `MpiRuntime::coll_algorithm` (the programmatic form of
 /// `MPIJAVA_COLL_ALG`); `auto` is the tuned size-aware selector.
@@ -265,7 +230,6 @@ fn assert_serializable<T: Serializable>() {}
 
 fn main() {
     ablation_eager();
-    ablation_pin();
     ablation_serialization();
     ablation_ring();
     ablation_collectives();

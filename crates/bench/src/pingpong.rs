@@ -321,7 +321,9 @@ fn raw_socket_pingpong(spec: &PingPongSpec, config: &StackConfig) -> Vec<PingPon
     points
 }
 
-/// The "C MPI" series: the engine used directly, no wrapper layer.
+/// The "C MPI" series: the engine used directly, no wrapper layer. Like
+/// a C `MPI_Recv`, every receive lands in a user buffer, so the series
+/// makes the same one copy per direction as the wrapper's.
 fn native_pingpong(spec: &PingPongSpec, config: &StackConfig) -> Vec<PingPongPoint> {
     use mpi_native::{SendMode, Universe, UniverseConfig, COMM_WORLD};
     let universe = UniverseConfig {
@@ -349,28 +351,35 @@ fn native_pingpong(spec: &PingPongSpec, config: &StackConfig) -> Vec<PingPongPoi
     let results = Universe::run_with_config(universe, move |engine| {
         let rank = engine.world_rank();
         let mut points = Vec::new();
+        let recv_into = |engine: &mut mpi_native::Engine, buf: &mut [u8], source, tag| {
+            let (data, _) = engine.recv(COMM_WORLD, source, tag, None).expect("recv");
+            buf[..data.len()].copy_from_slice(&data);
+            engine.note_payload_copy(data.len());
+            engine.recycle_payload(data);
+        };
         for &size in &sizes {
             let payload = vec![0u8; size];
+            let mut recv_buf = vec![0u8; size];
             if rank == 0 {
                 for _ in 0..warmup {
                     engine
                         .send(COMM_WORLD, 1, 1, &payload, SendMode::Standard)
                         .expect("send");
-                    engine.recv(COMM_WORLD, 1, 2, None).expect("recv");
+                    recv_into(engine, &mut recv_buf, 1, 2);
                 }
                 let start = Instant::now();
                 for _ in 0..reps {
                     engine
                         .send(COMM_WORLD, 1, 1, &payload, SendMode::Standard)
                         .expect("send");
-                    engine.recv(COMM_WORLD, 1, 2, None).expect("recv");
+                    recv_into(engine, &mut recv_buf, 1, 2);
                 }
                 points.push(one_way(size, start.elapsed(), reps));
             } else {
                 for _ in 0..(reps + warmup) {
-                    let (data, _) = engine.recv(COMM_WORLD, 0, 1, None).expect("recv");
+                    recv_into(engine, &mut recv_buf, 0, 1);
                     engine
-                        .send(COMM_WORLD, 0, 2, &data, SendMode::Standard)
+                        .send(COMM_WORLD, 0, 2, &recv_buf, SendMode::Standard)
                         .expect("send");
                 }
             }

@@ -23,6 +23,23 @@ pub trait BufferElement: Copy + Default + Send + Sync + 'static {
     /// Deserialize one element from little-endian bytes.
     fn read_le(bytes: &[u8]) -> Self;
 
+    /// Read view: `elems` as their wire bytes, without a copy, when the
+    /// in-memory representation already is the little-endian wire
+    /// encoding. `None` means callers fall back to [`write_le`] per
+    /// element.
+    ///
+    /// [`write_le`]: BufferElement::write_le
+    fn byte_view(_elems: &[Self]) -> Option<&[u8]> {
+        None
+    }
+
+    /// Write view: `elems` as mutable wire bytes, when every byte pattern
+    /// is a valid element. `None` means callers fall back to
+    /// [`read_le`](BufferElement::read_le) per element.
+    fn byte_view_mut(_elems: &mut [Self]) -> Option<&mut [u8]> {
+        None
+    }
+
     /// Width of one element in bytes.
     fn width() -> usize {
         Self::KIND.size()
@@ -48,6 +65,31 @@ macro_rules! impl_buffer_element {
             fn read_le(bytes: &[u8]) -> Self {
                 <$ty>::from_le_bytes(bytes[..std::mem::size_of::<$ty>()].try_into().unwrap())
             }
+            #[cfg(target_endian = "little")]
+            fn byte_view(elems: &[Self]) -> Option<&[u8]> {
+                // SAFETY: a primitive integer or float has no padding, so
+                // all `size_of_val(elems)` bytes behind the pointer are
+                // initialized; on a little-endian target they are exactly
+                // `to_le_bytes` of each element. `u8` has alignment 1, and
+                // the view borrows `elems`, so it cannot outlive it.
+                Some(unsafe {
+                    std::slice::from_raw_parts(elems.as_ptr().cast(), std::mem::size_of_val(elems))
+                })
+            }
+            #[cfg(target_endian = "little")]
+            fn byte_view_mut(elems: &mut [Self]) -> Option<&mut [u8]> {
+                // SAFETY: as in `byte_view`; in addition every byte
+                // pattern is a valid value of this type, so any bytes
+                // written through the view leave valid elements behind,
+                // and the exclusive borrow of `elems` makes the view the
+                // only access while it lives.
+                Some(unsafe {
+                    std::slice::from_raw_parts_mut(
+                        elems.as_mut_ptr().cast(),
+                        std::mem::size_of_val(elems),
+                    )
+                })
+            }
         }
     )*}
 }
@@ -64,6 +106,9 @@ impl_buffer_element!(
 );
 
 impl BufferElement for bool {
+    // Read view only: a received byte other than 0 or 1 is not a valid
+    // `bool`, so receives keep the element loop, which reads any nonzero
+    // byte as `true`.
     const KIND: PrimitiveKind = PrimitiveKind::Boolean;
     fn write_le(&self, out: &mut [u8]) {
         out[0] = *self as u8;
@@ -71,12 +116,19 @@ impl BufferElement for bool {
     fn read_le(bytes: &[u8]) -> Self {
         bytes[0] != 0
     }
+    fn byte_view(elems: &[Self]) -> Option<&[u8]> {
+        // SAFETY: `bool` is one byte holding 0 or 1 — exactly its wire
+        // encoding, on any target. `u8` has alignment 1, and the view
+        // borrows `elems`, so it cannot outlive it.
+        Some(unsafe { std::slice::from_raw_parts(elems.as_ptr().cast(), elems.len()) })
+    }
 }
 
 impl BufferElement for char {
     // Java's char is a UTF-16 code unit; mpiJava sends it as MPI.CHAR
     // (2 bytes). Characters outside the BMP are truncated exactly as a
-    // Java cast to char would truncate them.
+    // Java cast to char would truncate them. A Rust `char` is 4 bytes in
+    // memory, so neither byte view exists.
     const KIND: PrimitiveKind = PrimitiveKind::Char;
     fn write_le(&self, out: &mut [u8]) {
         let code = *self as u32 as u16;
@@ -91,40 +143,44 @@ impl BufferElement for char {
 /// Convert `buf[offset..]` (element indices, like the Java `offset`
 /// argument) to a little-endian byte image covering `elem_count` elements.
 ///
-/// The lockstep `chunks_exact_mut`/`zip` walk hoists the bounds checks
-/// out of the loop, so the element conversion compiles down to a straight
-/// block copy for the fixed-width primitive types — this is the simulated
-/// `Get*ArrayRegion` and sits on the wrapper's hot path for every send.
+/// This is the simulated `Get*ArrayRegion`. For every type with a
+/// [`byte_view`](BufferElement::byte_view) — all but `char` — it is one
+/// block copy of the view; `char` converts element by element.
 pub fn elements_to_bytes<T: BufferElement>(buf: &[T], offset: usize, elem_count: usize) -> Vec<u8> {
+    let elems = &buf[offset..offset + elem_count];
+    if let Some(bytes) = T::byte_view(elems) {
+        return bytes.to_vec();
+    }
     let width = T::width();
     let mut out = vec![0u8; elem_count * width];
-    for (chunk, e) in out
-        .chunks_exact_mut(width)
-        .zip(&buf[offset..offset + elem_count])
-    {
+    for (chunk, e) in out.chunks_exact_mut(width).zip(elems) {
         e.write_le(chunk);
     }
     out
 }
 
-/// Convert the whole slice to bytes (no offset), used for holes-aware
-/// derived-datatype packing where element selection happens later.
+/// Convert the whole slice to bytes (no offset).
 pub fn slice_to_bytes<T: BufferElement>(buf: &[T]) -> Vec<u8> {
     elements_to_bytes(buf, 0, buf.len())
 }
 
 /// Scatter little-endian `bytes` back into `buf[offset..]`.
-/// Returns the number of whole elements written.
+/// Returns the number of whole elements written; a trailing partial
+/// element in `bytes` is ignored.
 ///
-/// Bounds checks are hoisted like in [`elements_to_bytes`]; this is the
-/// simulated `Set*ArrayRegion` on the wrapper's receive hot path.
+/// This is the simulated `Set*ArrayRegion`. For every type with a
+/// [`byte_view_mut`](BufferElement::byte_view_mut) it is one block copy;
+/// `bool` (any nonzero byte reads as `true`) and `char` convert element
+/// by element.
 pub fn bytes_to_elements<T: BufferElement>(buf: &mut [T], offset: usize, bytes: &[u8]) -> usize {
     let width = T::width();
     let n = (bytes.len() / width).min(buf.len().saturating_sub(offset));
-    for (e, chunk) in buf[offset..offset + n]
-        .iter_mut()
-        .zip(bytes.chunks_exact(width))
-    {
+    let elems = &mut buf[offset..offset + n];
+    if let Some(view) = T::byte_view_mut(elems) {
+        view.copy_from_slice(&bytes[..n * width]);
+        return n;
+    }
+    for (e, chunk) in elems.iter_mut().zip(bytes.chunks_exact(width)) {
         *e = T::read_le(chunk);
     }
     n

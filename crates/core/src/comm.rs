@@ -12,6 +12,16 @@
 //!
 //! Every call crosses the simulated JNI boundary of [`crate::jni`]; that is
 //! where the wrapper overhead the paper measures lives.
+//!
+//! Marshalling works on a byte view of the typed buffer. A dense send
+//! hands the view itself to the engine, whose pooled staging copy is the
+//! one send-side copy; a derived datatype first gathers the bytes it
+//! selects. A receive scatters the engine's completion payload straight
+//! into the buffer and returns the spent payload to the engine's staging
+//! pool. Derived datatypes touch only the `size × count` bytes they
+//! select, not the span they cover.
+
+use std::borrow::Cow;
 
 use mpi_native::comm::CommHandle;
 use mpi_native::{pack, ErrorClass, PrimitiveKind, SendMode};
@@ -136,37 +146,57 @@ impl Comm {
         }
     }
 
-    /// Marshal `count` instances of `datatype` starting at element `offset`
-    /// of `buf` into a contiguous byte payload (the `Get*ArrayRegion` +
-    /// `MPI_Pack` step of the real stub layer).
-    pub(crate) fn pack_buffer<T: BufferElement>(
+    /// Check `datatype` against the element type and return the number of
+    /// elements `count` instances span from `offset`, failing with
+    /// `class` when they overrun `len`.
+    fn checked_span<T: BufferElement>(
         &self,
-        buf: &[T],
+        len: usize,
         offset: usize,
         count: usize,
         datatype: &Datatype,
-    ) -> MpiResult<Vec<u8>> {
+        class: ErrorClass,
+    ) -> MpiResult<usize> {
         self.check_type::<T>(datatype)?;
         let span = span_elements(datatype, count, T::KIND.size());
-        if offset + span > buf.len() {
+        if offset + span > len {
             return Err(MPIException::new(
-                ErrorClass::Buffer,
-                format!(
-                    "buffer too small: offset {offset} + span {span} > length {}",
-                    buf.len()
-                ),
+                class,
+                format!("buffer too small: offset {offset} + span {span} > length {len}"),
             ));
         }
+        Ok(span)
+    }
+
+    /// Marshal `count` instances of `datatype` starting at element `offset`
+    /// of `buf` into a contiguous byte payload (the `Get*ArrayRegion` +
+    /// `MPI_Pack` step of the real stub layer). A dense datatype borrows
+    /// the buffer's byte view without copying; otherwise exactly the
+    /// selected bytes are gathered.
+    pub(crate) fn pack_buffer<'a, T: BufferElement>(
+        &self,
+        buf: &'a [T],
+        offset: usize,
+        count: usize,
+        datatype: &Datatype,
+    ) -> MpiResult<Cow<'a, [u8]>> {
+        let span =
+            self.checked_span::<T>(buf.len(), offset, count, datatype, ErrorClass::Buffer)?;
         let window = &buf[offset..offset + span];
-        let bytes = slice_to_bytes(window);
-        self.env.jni.note_pinned_in(0); // no-op, keeps pin/copy symmetric
-        let image = self.env.jni.marshal_in(&bytes);
-        let packed = pack::pack(&image, 0, count, datatype.def())?;
-        Ok(packed)
+        let def = datatype.def();
+        let payload = match T::byte_view(window) {
+            Some(bytes) if def.is_contiguous_dense() => Cow::Borrowed(&bytes[..def.size() * count]),
+            Some(bytes) => Cow::Owned(pack::pack(bytes, 0, count, def)?),
+            None => Cow::Owned(pack::pack(&slice_to_bytes(window), 0, count, def)?),
+        };
+        self.env.jni.note_in(payload.len());
+        Ok(payload)
     }
 
     /// Scatter a received contiguous payload back into the user buffer
-    /// (the `MPI_Unpack` + `Set*ArrayRegion` step).
+    /// (the `MPI_Unpack` + `Set*ArrayRegion` step), straight through the
+    /// buffer's byte view. `bool` and `char` have no write view and go
+    /// through a byte image of the span instead.
     pub(crate) fn unpack_buffer<T: BufferElement>(
         &self,
         wire: &[u8],
@@ -175,22 +205,18 @@ impl Comm {
         count: usize,
         datatype: &Datatype,
     ) -> MpiResult<()> {
-        self.check_type::<T>(datatype)?;
-        let span = span_elements(datatype, count, T::KIND.size());
-        if offset + span > buf.len() {
-            return Err(MPIException::new(
-                ErrorClass::Truncate,
-                format!(
-                    "receive buffer too small: offset {offset} + span {span} > length {}",
-                    buf.len()
-                ),
-            ));
-        }
+        let span =
+            self.checked_span::<T>(buf.len(), offset, count, datatype, ErrorClass::Truncate)?;
         self.env.jni.note_out(wire.len());
-        let window = &buf[offset..offset + span];
-        let mut image = slice_to_bytes(window);
-        pack::unpack(wire, &mut image, 0, count, datatype.def())?;
-        bytes_to_elements(buf, offset, &image);
+        let window = &mut buf[offset..offset + span];
+        let def = datatype.def();
+        if let Some(bytes) = T::byte_view_mut(window) {
+            pack::unpack(wire, bytes, 0, count, def)?;
+        } else {
+            let mut image = slice_to_bytes(window);
+            pack::unpack(wire, &mut image, 0, count, def)?;
+            bytes_to_elements(window, 0, &image);
+        }
         Ok(())
     }
 
@@ -326,37 +352,7 @@ impl Comm {
             .lock()
             .recv(self.handle, source, tag, Some(max_len))?;
         self.unpack_buffer(&data, buf, offset, count, datatype)?;
-        Ok(Status::from_info(info))
-    }
-
-    /// Single-copy receive of contiguous `T` elements — the fast path
-    /// behind the idiomatic `rs::Communicator::recv_into`.
-    ///
-    /// The classic [`Comm::recv`] reproduces the paper's full JNI
-    /// marshalling (wire → pack image → `Set*ArrayRegion` write-back);
-    /// for a contiguous basic datatype that pipeline is byte-equivalent
-    /// to one straight copy, so this path takes the engine's refcounted
-    /// completion buffer and scatters it into the user slice exactly
-    /// once. The simulated JNI crossing itself is still recorded, so the
-    /// wrapper-overhead accounting stays honest.
-    pub(crate) fn recv_into_contiguous<T: BufferElement>(
-        &self,
-        buf: &mut [T],
-        source: i32,
-        tag: i32,
-    ) -> MpiResult<Status> {
-        self.env.jni.enter("Comm.Recv");
-        let max_len = T::KIND.size() * buf.len();
-        let mut engine = self.env.engine.lock();
-        let (data, info) = engine.recv(self.handle, source, tag, Some(max_len))?;
-        self.env.jni.note_out(data.len());
-        bytes_to_elements(buf, 0, &data);
-        // The delivery copy happened up here in the binding, but it is
-        // part of the datapath's copy budget: account it, and feed the
-        // spent transport buffer back into the engine's staging pool —
-        // the same bookkeeping `Engine::recv_into` does internally.
-        engine.note_payload_copy(data.len());
-        engine.recycle_payload(data);
+        self.env.retire_payload(data);
         Ok(Status::from_info(info))
     }
 
@@ -391,6 +387,7 @@ impl Comm {
             Some(max_len),
         )?;
         self.unpack_buffer(&data, recv_buf, recv_offset, recv_count, recv_type)?;
+        self.env.retire_payload(data);
         Ok(Status::from_info(info))
     }
 
@@ -554,20 +551,20 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<Prequest<'buf>> {
         self.env.jni.enter("Comm.Send_init");
-        let payload = self.pack_buffer(buf, offset, count, datatype)?;
-        let id = self.env.engine.lock().send_init(
-            self.handle,
-            dest,
-            tag,
-            &payload,
-            SendMode::Standard,
-        )?;
+        // The buffer is marshalled by every `start`; here it is only
+        // checked, so a bad buffer still fails at init.
+        self.checked_span::<T>(buf.len(), offset, count, datatype, ErrorClass::Buffer)?;
+        let id =
+            self.env
+                .engine
+                .lock()
+                .send_init(self.handle, dest, tag, &[], SendMode::Standard)?;
         let comm = self.clone();
         let datatype = datatype.clone();
         Ok(Prequest::send(
             Arc::clone(&self.env),
             id,
-            Box::new(move || comm.pack_buffer(buf, offset, count, &datatype)),
+            Box::new(move |deliver| deliver(&comm.pack_buffer(buf, offset, count, &datatype)?)),
         ))
     }
 
@@ -742,7 +739,7 @@ impl Comm {
             payload.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
             payload.extend_from_slice(&bytes);
         }
-        self.env.jni.note_pinned_in(payload.len());
+        self.env.jni.note_in(payload.len());
         Ok(payload)
     }
 
@@ -795,11 +792,11 @@ impl Comm {
     /// boundary). Used by the "mpiJava" series of the PingPong benchmark.
     pub fn send_bytes(&self, bytes: &[u8], dest: i32, tag: i32) -> MpiResult<()> {
         self.env.jni.enter("Comm.Send[bytes]");
-        let image = self.env.jni.marshal_in(bytes);
+        self.env.jni.note_in(bytes.len());
         self.env
             .engine
             .lock()
-            .send(self.handle, dest, tag, &image, SendMode::Standard)?;
+            .send(self.handle, dest, tag, bytes, SendMode::Standard)?;
         Ok(())
     }
 

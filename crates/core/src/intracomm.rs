@@ -147,7 +147,9 @@ impl Intracomm {
         self.env.jni.enter("Intracomm.Bcast");
         let rank = self.base.env.engine.lock().comm_rank(self.base.handle)?;
         let mut payload = if rank == root {
-            self.base.pack_buffer(buf, offset, count, datatype)?
+            self.base
+                .pack_buffer(buf, offset, count, datatype)?
+                .into_owned()
         } else {
             Vec::new()
         };
@@ -332,7 +334,8 @@ impl Intracomm {
                 let elem_off = send_offset + displs[r] * send_type.extent_elements();
                 out.push(
                     self.base
-                        .pack_buffer(send_buf, elem_off, send_counts[r], send_type)?,
+                        .pack_buffer(send_buf, elem_off, send_counts[r], send_type)?
+                        .into_owned(),
                 );
             }
             Some(out)
@@ -508,7 +511,8 @@ impl Intracomm {
             let elem_off = send_offset + sdispls[r] * send_type.extent_elements();
             chunks.push(
                 self.base
-                    .pack_buffer(send_buf, elem_off, send_counts[r], send_type)?,
+                    .pack_buffer(send_buf, elem_off, send_counts[r], send_type)?
+                    .into_owned(),
             );
         }
         let received = self

@@ -8,17 +8,22 @@
 //! to exactly this layer plus the generally slower JVM.
 //!
 //! This module reproduces that boundary as an explicit, measurable object:
-//! the binding routes every buffer movement through [`JniBoundary`], which
+//! every wrapper call goes through [`JniBoundary`], which
 //!
-//! * performs a real marshalling copy in *copy* mode (the default, matching
-//!   the JDK 1.1/1.2 behaviour the paper ran on, where `Get*ArrayElements`
-//!   usually copies) or hands out the caller's bytes directly in *pin*
-//!   mode (the zero-copy behaviour of a pinning garbage collector),
 //! * charges a configurable fixed per-call cost representing stub dispatch
 //!   and argument conversion (and, when calibrating against the paper's
 //!   1999 numbers, the slower JVM),
 //! * counts calls and bytes so experiments can report exactly what the
 //!   boundary cost.
+//!
+//! The marshalling itself happens in [`crate::comm`]: a send hands the
+//! engine a byte view of the typed buffer for the engine to stage, and a
+//! receive scatters the completion payload straight into the buffer. With
+//! a dense datatype each payload byte is thus copied once per direction —
+//! the *copy* behaviour of the JDK 1.1/1.2 the paper ran on, where
+//! `Get*ArrayElements` usually copies. There is no *pin* mode: the engine
+//! needs an owned payload that outlives an eager send, so one copy per
+//! direction is also all a pinning garbage collector could reach here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -26,17 +31,15 @@ use std::time::Duration;
 /// How array arguments cross the simulated JNI boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarshalMode {
-    /// `Get*ArrayRegion`-style copy in and out (default; what the paper's
-    /// JDK did).
+    /// `Get*ArrayRegion`-style copy in and out: one copy per direction
+    /// (what the paper's JDK did).
     Copy,
-    /// Pinning: no copies, the native layer works on the caller's memory.
-    Pin,
 }
 
 /// Configuration of the simulated boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JniConfig {
-    /// Copy vs pin (see [`MarshalMode`]).
+    /// How buffers are marshalled (see [`MarshalMode`]).
     pub marshal: MarshalMode,
     /// Fixed cost charged on every wrapper call (stub dispatch, argument
     /// conversion, JVM overhead). Zero by default; the benchmark harness
@@ -105,28 +108,9 @@ impl JniBoundary {
         }
     }
 
-    /// Marshal `bytes` of a user buffer into a native buffer
-    /// (`Get*ArrayRegion`). In pin mode this is free and the caller uses
-    /// its own slice; in copy mode the bytes are duplicated.
-    pub fn marshal_in(&self, bytes: &[u8]) -> Vec<u8> {
-        self.stats
-            .bytes_in
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        match self.config.marshal {
-            MarshalMode::Copy => bytes.to_vec(),
-            MarshalMode::Pin => bytes.to_vec(), // still owned, but see marshal_in_pinned
-        }
-    }
-
-    /// True when the configuration allows the native layer to read the
-    /// caller's bytes directly (no marshalling copy).
-    pub fn can_pin(&self) -> bool {
-        self.config.marshal == MarshalMode::Pin
-    }
-
-    /// Account for bytes that crossed the boundary without a copy (pin
-    /// mode fast path).
-    pub fn note_pinned_in(&self, len: usize) {
+    /// Account for bytes marshalled from a user buffer into a native
+    /// buffer (`Get*ArrayRegion`).
+    pub fn note_in(&self, len: usize) {
         self.stats.bytes_in.fetch_add(len as u64, Ordering::Relaxed);
     }
 
@@ -157,8 +141,7 @@ mod tests {
         let jni = JniBoundary::new(JniConfig::default());
         jni.enter("MPI_Send");
         jni.enter("MPI_Recv");
-        let copied = jni.marshal_in(&[1, 2, 3, 4]);
-        assert_eq!(copied, vec![1, 2, 3, 4]);
+        jni.note_in(4);
         jni.note_out(10);
         let s = jni.stats();
         assert_eq!(s.calls, 2);
@@ -175,18 +158,5 @@ mod tests {
         let start = std::time::Instant::now();
         jni.enter("MPI_Send");
         assert!(start.elapsed() >= Duration::from_micros(200));
-    }
-
-    #[test]
-    fn pin_mode_reports_pinnable() {
-        let copy = JniBoundary::new(JniConfig::default());
-        assert!(!copy.can_pin());
-        let pin = JniBoundary::new(JniConfig {
-            marshal: MarshalMode::Pin,
-            per_call_cost: Duration::ZERO,
-        });
-        assert!(pin.can_pin());
-        pin.note_pinned_in(128);
-        assert_eq!(pin.stats().bytes_in, 128);
     }
 }

@@ -274,6 +274,18 @@ pub(crate) struct RankEnv {
     pub(crate) jni: jni::JniBoundary,
 }
 
+impl RankEnv {
+    /// Retire a point-to-point completion payload once the binding has
+    /// unpacked it into the user buffer: account that delivery copy and
+    /// return the spent buffer to the engine's staging pool — the same
+    /// bookkeeping `Engine::recv_into` does internally.
+    pub(crate) fn retire_payload(&self, data: bytes::Bytes) {
+        let mut engine = self.engine.lock();
+        engine.note_payload_copy(data.len());
+        engine.recycle_payload(data);
+    }
+}
+
 /// Thread support levels of `MPI_Init_thread` (MPI-2 §8.7).
 ///
 /// The engine sits behind a per-rank mutex, so every call is internally

@@ -21,7 +21,12 @@ use crate::RankEnv;
 
 type UnpackOnce<'buf> = Box<dyn FnOnce(&[u8]) -> MpiResult<()> + Send + 'buf>;
 type UnpackMut<'buf> = Box<dyn FnMut(&[u8]) -> MpiResult<()> + Send + 'buf>;
-type Repack<'buf> = Box<dyn Fn() -> MpiResult<Vec<u8>> + Send + 'buf>;
+/// Re-marshals a persistent send's captured buffer and hands the bytes to
+/// the sink, which installs them as the payload of the next `start`. The
+/// marshalling runs before the sink takes the engine lock, and the sink's
+/// higher-ranked `&[u8]` keeps the handle covariant in `'buf`.
+type Repack<'buf> =
+    Box<dyn Fn(&mut dyn FnMut(&[u8]) -> MpiResult<()>) -> MpiResult<()> + Send + 'buf>;
 
 /// What engine object a [`Request`] completes: a point-to-point request
 /// or a nonblocking-collective schedule. The two share every completion
@@ -108,8 +113,9 @@ impl<'buf> Request<'buf> {
 
     fn finish(&mut self, completion: mpi_native::request::Completion) -> MpiResult<Status> {
         self.done = true;
-        if let (Some(unpack), Some(data)) = (self.unpack.take(), completion.data.as_ref()) {
-            unpack(data)?;
+        if let (Some(unpack), Some(data)) = (self.unpack.take(), completion.data) {
+            unpack(&data)?;
+            self.env.retire_payload(data);
         }
         Ok(Status::from_info(completion.status))
     }
@@ -598,14 +604,15 @@ impl<'buf> Prequest<'buf> {
             ));
         }
         self.env.jni.enter("Prequest.Start");
-        if let PrequestKind::Send { repack } = &self.kind {
-            let payload = repack()?;
-            self.env
-                .engine
-                .lock()
-                .persistent_set_data(self.id, &payload)?;
+        let (env, id) = (&self.env, self.id);
+        match &self.kind {
+            PrequestKind::Send { repack } => repack(&mut |payload| {
+                let mut engine = env.engine.lock();
+                engine.persistent_set_data(id, payload)?;
+                Ok(engine.start(id)?)
+            })?,
+            PrequestKind::Recv { .. } => env.engine.lock().start(id)?,
         }
-        self.env.engine.lock().start(self.id)?;
         self.active = true;
         Ok(())
     }
@@ -630,10 +637,9 @@ impl<'buf> Prequest<'buf> {
         self.env.jni.enter("Prequest.Wait");
         let completion = self.env.engine.lock().wait(self.id)?;
         self.active = false;
-        if let (PrequestKind::Recv { unpack }, Some(data)) =
-            (&mut self.kind, completion.data.as_ref())
-        {
-            unpack(data)?;
+        if let (PrequestKind::Recv { unpack }, Some(data)) = (&mut self.kind, completion.data) {
+            unpack(&data)?;
+            self.env.retire_payload(data);
         }
         Ok(Status::from_info(completion.status))
     }
@@ -777,10 +783,12 @@ impl<'buf> PersistentRequest<'buf> {
         self.env.jni.enter("Prequest.Start");
         match &mut self.kind {
             PersistentKind::P2pSend { id, repack } => {
-                let payload = repack()?;
-                let mut engine = self.env.engine.lock();
-                engine.persistent_set_data(*id, &payload)?;
-                engine.start(*id)?;
+                let (env, id) = (&self.env, *id);
+                repack(&mut |payload| {
+                    let mut engine = env.engine.lock();
+                    engine.persistent_set_data(id, payload)?;
+                    Ok(engine.start(id)?)
+                })?;
             }
             PersistentKind::P2pRecv { id, .. } => {
                 self.env.engine.lock().start(*id)?;
@@ -824,8 +832,9 @@ impl<'buf> PersistentRequest<'buf> {
             }
             PersistentKind::P2pRecv { id, unpack } => {
                 let completion = self.env.engine.lock().wait(*id)?;
-                if let Some(data) = completion.data.as_ref() {
-                    unpack(data)?;
+                if let Some(data) = completion.data {
+                    unpack(&data)?;
+                    self.env.retire_payload(data);
                 }
                 Ok(Status::from_info(completion.status))
             }
@@ -852,16 +861,22 @@ impl<'buf> PersistentRequest<'buf> {
                 }
                 None => Ok(None),
             },
-            PersistentKind::P2pRecv { id, unpack } => match self.env.engine.lock().test(*id)? {
-                Some(completion) => {
-                    self.active = false;
-                    if let Some(data) = completion.data.as_ref() {
-                        unpack(data)?;
+            PersistentKind::P2pRecv { id, unpack } => {
+                // Bind first: the guard must be gone before
+                // `retire_payload` locks the engine again.
+                let completion = self.env.engine.lock().test(*id)?;
+                match completion {
+                    Some(completion) => {
+                        self.active = false;
+                        if let Some(data) = completion.data {
+                            unpack(&data)?;
+                            self.env.retire_payload(data);
+                        }
+                        Ok(Some(Status::from_info(completion.status)))
                     }
-                    Ok(Some(Status::from_info(completion.status)))
+                    None => Ok(None),
                 }
-                None => Ok(None),
-            },
+            }
             PersistentKind::Coll { id, bufs } => {
                 match self.env.engine.lock().coll_test_persistent(*id)? {
                     Some(outcome) => {

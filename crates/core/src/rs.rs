@@ -225,23 +225,20 @@ pub trait Communicator {
     }
 
     /// Receive into the whole slice from `source`, returning the
-    /// [`Status`] (classic `Recv`). Receiving fewer elements than
-    /// `buf.len()` is fine; `status.count_elements::<T>()` says how many
-    /// arrived.
-    ///
-    /// Unlike the classic `Recv` — which reproduces the paper's full JNI
-    /// marshalling pipeline — this rides the engine's zero-copy datapath:
-    /// the arrived payload is copied **exactly once**, from the
-    /// refcounted transport buffer into `buf`. Results are byte-identical
-    /// to the classic path (contiguous basic datatypes marshal to a
-    /// straight copy), and the simulated JNI crossing is still counted.
+    /// [`Status`] (classic `Recv(buf, 0, buf.len(), T::datatype(),
+    /// source, tag)`). Receiving fewer elements than `buf.len()` is fine;
+    /// `status.count_elements::<T>()` says how many arrived. The arrived
+    /// payload is copied exactly once, from the refcounted transport
+    /// buffer into `buf`.
     fn recv_into<T: BufferElement>(
         &self,
         buf: &mut [T],
         source: i32,
         tag: i32,
     ) -> MpiResult<Status> {
-        self.as_comm().recv_into_contiguous(buf, source, tag)
+        let count = buf.len();
+        self.as_comm()
+            .recv(buf, 0, count, &T::datatype(), source, tag)
     }
 
     /// Combined send + receive (classic `Sendrecv`), with independent
@@ -878,20 +875,19 @@ pub trait Communicator {
         dest: i32,
         tag: i32,
     ) -> MpiResult<PersistentRequest<'buf>> {
-        let comm = self.as_comm();
+        let comm = self.as_comm().clone();
         comm.env.jni.enter("Comm.Send_init");
-        let payload = slice_to_bytes(buf);
-        let id = comm.env.engine.lock().send_init(
-            comm.handle,
-            dest,
-            tag,
-            &payload,
-            SendMode::Standard,
-        )?;
+        let id =
+            comm.env
+                .engine
+                .lock()
+                .send_init(comm.handle, dest, tag, &[], SendMode::Standard)?;
         Ok(PersistentRequest::p2p_send(
             Arc::clone(&comm.env),
             id,
-            Box::new(move || Ok(slice_to_bytes(buf))),
+            Box::new(move |deliver| {
+                deliver(&comm.pack_buffer(buf, 0, buf.len(), &T::datatype())?)
+            }),
         ))
     }
 
@@ -904,7 +900,7 @@ pub trait Communicator {
         source: i32,
         tag: i32,
     ) -> MpiResult<PersistentRequest<'buf>> {
-        let comm = self.as_comm();
+        let comm = self.as_comm().clone();
         comm.env.jni.enter("Comm.Recv_init");
         let max_len = buf.len() * T::width();
         let id = comm
@@ -916,8 +912,8 @@ pub trait Communicator {
             Arc::clone(&comm.env),
             id,
             Box::new(move |wire: &[u8]| {
-                bytes_to_elements(buf, 0, wire);
-                Ok(())
+                let count = buf.len();
+                comm.unpack_buffer(wire, buf, 0, count, &T::datatype())
             }),
         ))
     }

@@ -52,13 +52,17 @@
 //! | segmented reassembly | chunk frames → receive buffer | `extend_from_slice` per chunk | 1 |
 //! | receive completion ([`Engine::recv`]) | completion → caller | `Bytes` handover | 0 |
 //! | [`Engine::recv_into`] | completion `Bytes` → user slice | `copy_from_slice`; spent buffer recycled into the send pool | 1 |
+//! | persistent send (`persistent_set_data`, `send_init`) | user slice → held `Bytes` | pooled copy; each `start` sends the held buffer by refcount | 1 |
 //!
 //! End to end, an unsegmented transfer therefore costs exactly one copy on
 //! the send side (zero via [`Engine::isend_bytes`]) and exactly one on the
 //! receive side; segmented transfers add the one reassembly copy. The
-//! higher-level `mpijava` wrapper adds its own simulated-JNI marshalling on
-//! the classic (paper-faithful) surface; the idiomatic `rs` surface rides
-//! the single-copy path.
+//! `mpijava` wrapper keeps that budget on both its surfaces: a send hands
+//! the engine a byte view of the typed buffer (derived datatypes first
+//! gather just the bytes they select), and a receive unpacks the
+//! completion `Bytes` into the typed buffer — that delivery copy is
+//! counted through [`Engine::note_payload_copy`] — and returns it with
+//! [`Engine::recycle_payload`].
 
 use bytes::Bytes;
 use mpi_transport::{Frame, FrameHeader, FrameKind};
@@ -200,7 +204,7 @@ impl Engine {
     /// Copy `data` into a pooled staging buffer and wrap it as `Bytes`
     /// without a second copy. This is the *single* send-side copy of the
     /// slice-based send APIs.
-    fn wrap_payload(&mut self, data: &[u8]) -> Bytes {
+    pub(crate) fn wrap_payload(&mut self, data: &[u8]) -> Bytes {
         let mut buf = match self.send_pool.pop() {
             Some(mut v) => {
                 v.clear();

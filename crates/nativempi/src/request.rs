@@ -57,7 +57,8 @@ pub(crate) enum RequestState {
         dest: i32,
         tag: i32,
         mode: SendMode,
-        data: Vec<u8>,
+        /// The staged payload; each `start` sends it by refcount.
+        data: Bytes,
         active: Option<RequestId>,
     },
     /// Persistent receive definition (inactive between `start`s).
@@ -364,6 +365,7 @@ impl Engine {
         mode: SendMode,
     ) -> Result<RequestId> {
         self.check_live()?;
+        let data = self.wrap_payload(data);
         let id = self.next_request;
         self.next_request += 1;
         self.requests.insert(
@@ -373,7 +375,7 @@ impl Engine {
                 dest,
                 tag,
                 mode,
-                data: data.to_vec(),
+                data,
                 active: None,
             },
         );
@@ -406,16 +408,18 @@ impl Engine {
 
     /// Replace the payload a persistent send transmits on its next `start`.
     /// (The C binding reuses the user buffer by address; the engine copies,
-    /// so the binding layer refreshes the copy before each start.)
+    /// so the binding layer refreshes the copy before each start.) This
+    /// is the send's one staging copy: `start` sends the staged buffer by
+    /// refcount.
     pub fn persistent_set_data(&mut self, req: RequestId, data: &[u8]) -> Result<()> {
-        match self.requests.get_mut(&req.0) {
-            Some(RequestState::PersistentSend {
-                data: stored,
-                active: None,
-                ..
-            }) => {
-                stored.clear();
-                stored.extend_from_slice(data);
+        match self.requests.get(&req.0) {
+            Some(RequestState::PersistentSend { active: None, .. }) => {
+                let staged = self.wrap_payload(data);
+                if let Some(RequestState::PersistentSend { data: stored, .. }) =
+                    self.requests.get_mut(&req.0)
+                {
+                    *stored = staged;
+                }
                 Ok(())
             }
             Some(RequestState::PersistentSend { .. }) => err(
@@ -454,7 +458,7 @@ impl Engine {
                     src,
                     tag,
                     SendMode::Standard,
-                    Vec::new(),
+                    Bytes::new(),
                     max_len,
                 ))
             }
@@ -466,7 +470,7 @@ impl Engine {
         };
         let (is_send, comm, peer, tag, mode, data, max_len) = inner.expect("checked above");
         let inner_req = if is_send {
-            self.isend(comm, peer, tag, &data, mode)?
+            self.isend_bytes(comm, peer, tag, data, mode)?
         } else {
             self.irecv(comm, peer, tag, max_len)?
         };

@@ -1,7 +1,8 @@
 //! Property-style tests over the invariants DESIGN.md calls out: datatype
 //! size/extent algebra, pack/unpack round trips, group set algebra,
-//! reduction correctness against a serial fold, and object serialization
-//! round trips.
+//! reduction correctness against a serial fold, object serialization
+//! round trips, and the buffer byte views against the per-element
+//! encoding.
 //!
 //! The build environment has no crates.io mirror, so instead of proptest
 //! these run each property over a deterministic pseudo-random sample
@@ -9,8 +10,9 @@
 //! reproducible, no external dependency.
 
 use mpi_native::{pack, DatatypeDef, Group, Op, PredefinedOp, PrimitiveKind};
+use mpijava::buffer::{bytes_to_elements, elements_to_bytes};
 use mpijava::serial::{deserialize, serialize};
-use mpijava::Datatype;
+use mpijava::{BufferElement, Datatype};
 
 /// Deterministic xorshift64* generator: the "arbitrary input" source.
 struct Gen(u64);
@@ -225,4 +227,122 @@ fn status_count_partial_instances() {
             }
         }
     }
+}
+
+/// The per-element encoding the byte views must reproduce.
+fn per_element_bytes<T: BufferElement>(elems: &[T]) -> Vec<u8> {
+    let width = T::width();
+    let mut out = vec![0u8; elems.len() * width];
+    for (chunk, e) in out.chunks_exact_mut(width).zip(elems) {
+        e.write_le(chunk);
+    }
+    out
+}
+
+/// `elements_to_bytes` / `bytes_to_elements` (byte views where the type
+/// has them) agree byte for byte with `write_le` / `read_le` element by
+/// element: random buffers seeded with `specials`, nonzero offsets, and
+/// random wire bytes that may end in a partial element.
+fn views_match_per_element_encoding<T: BufferElement>(
+    seed: u64,
+    specials: &[T],
+    sample: impl Fn(&mut Gen) -> T,
+) {
+    let mut g = Gen::new(seed);
+    let width = T::width();
+    for _ in 0..CASES {
+        let len = g.usize_in(1, 48);
+        let mut buf: Vec<T> = (0..len).map(|_| sample(&mut g)).collect();
+        for &special in specials {
+            let at = g.usize_in(0, len);
+            buf[at] = special;
+        }
+        let offset = g.usize_in(0, len + 1);
+        let count = g.usize_in(0, len - offset + 1);
+        assert_eq!(
+            elements_to_bytes(&buf, offset, count),
+            per_element_bytes(&buf[offset..offset + count]),
+            "{:?}: send side, offset {offset}, count {count}",
+            T::KIND
+        );
+        if let Some(view) = T::byte_view(&buf) {
+            assert_eq!(view, per_element_bytes(&buf), "{:?}: read view", T::KIND);
+        }
+
+        let wire_len = g.usize_in(0, (len - offset + 1) * width);
+        let wire: Vec<u8> = (0..wire_len).map(|_| g.next_u64() as u8).collect();
+        let mut got = buf.clone();
+        let n = bytes_to_elements(&mut got, offset, &wire);
+        let mut want = buf.clone();
+        let n_want = (wire_len / width).min(len - offset);
+        for (e, chunk) in want[offset..offset + n_want]
+            .iter_mut()
+            .zip(wire.chunks_exact(width))
+        {
+            *e = T::read_le(chunk);
+        }
+        assert_eq!(n, n_want, "{:?}: elements written", T::KIND);
+        assert_eq!(
+            per_element_bytes(&got),
+            per_element_bytes(&want),
+            "{:?}: receive side, offset {offset}, {wire_len} wire bytes",
+            T::KIND
+        );
+    }
+}
+
+#[test]
+fn byte_views_match_the_per_element_encoding() {
+    views_match_per_element_encoding(0xB1, &[i8::MIN, -1], |g| g.next_u64() as i8);
+    views_match_per_element_encoding(0xB2, &[u8::MAX], |g| g.next_u64() as u8);
+    views_match_per_element_encoding(0xB3, &[i16::MIN, -1], |g| g.next_u64() as i16);
+    views_match_per_element_encoding(0xB4, &[u16::MAX], |g| g.next_u64() as u16);
+    views_match_per_element_encoding(0xB5, &[i32::MIN, -1], |g| g.next_u64() as i32);
+    views_match_per_element_encoding(0xB6, &[i64::MIN, i64::MAX, -1], |g| g.next_u64() as i64);
+    views_match_per_element_encoding(
+        0xB7,
+        &[
+            f32::from_bits(0x7FC0_1234),
+            f32::from_bits(0xFF80_0001),
+            -0.0,
+        ],
+        |g| f32::from_bits(g.next_u64() as u32),
+    );
+    views_match_per_element_encoding(
+        0xB8,
+        &[
+            f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+            f64::from_bits(0xFFF0_0000_0000_0001),
+            -0.0,
+        ],
+        |g| f64::from_bits(g.next_u64()),
+    );
+    views_match_per_element_encoding(0xB9, &[true, false], |g| g.bool());
+    views_match_per_element_encoding(0xBA, &['\u{1F600}', '\u{10FFFF}', '\u{FFFF}'], |g| {
+        char::from_u32(g.next_u64() as u32 % 0x11_0000).unwrap_or('\u{D7FF}')
+    });
+}
+
+#[test]
+fn view_coverage_and_the_bool_and_char_exceptions() {
+    // Read and write views for the fixed-width primitives.
+    assert!(f64::byte_view(&[1.0]).is_some() && f64::byte_view_mut(&mut [1.0]).is_some());
+    assert!(i8::byte_view(&[1]).is_some() && i8::byte_view_mut(&mut [1]).is_some());
+    // bool is read-only: a wire byte of 0x02 must still read as `true`.
+    assert_eq!(bool::byte_view(&[true, false]), Some(&[1u8, 0][..]));
+    assert!(bool::byte_view_mut(&mut [false]).is_none());
+    let mut flags = [false; 3];
+    assert_eq!(bytes_to_elements(&mut flags, 0, &[0x02, 0x00, 0xFF]), 3);
+    assert_eq!(flags, [true, false, true]);
+    // char is 4 bytes in memory but 2 on the wire: no views, and code
+    // points outside the BMP are truncated like a Java cast to char.
+    assert!(char::byte_view(&['a']).is_none());
+    assert!(char::byte_view_mut(&mut ['a']).is_none());
+    assert_eq!(
+        elements_to_bytes(&['\u{1F600}', 'A'], 0, 2),
+        [0x00, 0xF6, 0x41, 0x00]
+    );
+    let mut chars = ['\0'; 2];
+    bytes_to_elements(&mut chars, 0, &[0x00, 0xF6, 0x41, 0x00]);
+    assert_eq!(chars, ['\u{F600}', 'A']);
 }
