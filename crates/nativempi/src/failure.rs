@@ -8,8 +8,8 @@
 //! hangs*, in the spirit of ULFM's `MPI_ERR_PROC_FAILED`:
 //!
 //! * every blocking loop pumps frames through `Engine::blocking_pump`,
-//!   which polls for failures on a bounded-timeout receive instead of
-//!   parking forever;
+//!   which polls for failures on a bounded-timeout receive (a short
+//!   spin, then a bounded park) instead of parking forever;
 //! * when a rank is declared dead, `Engine::on_rank_failed` sweeps the
 //!   engine: posted receives that can only be satisfied by the dead rank
 //!   (specific-source matches, and — conservatively — `ANY_SOURCE`
@@ -37,9 +37,11 @@ use crate::trace::{millis_i64, EventKind, EventPhase};
 use crate::types::ANY_SOURCE;
 use crate::Engine;
 
-/// Bounded park used by every blocking loop: long enough to keep the
-/// hot path cheap (one timeout per quantum, frames still delivered
-/// immediately), short enough to keep failure-detection latency far
+/// Bounded wait used by every blocking loop. On the mailbox devices
+/// (shm, p4, tcp, hybrid) the receive spins for up to 10 µs, then
+/// parks for the rest of the quantum; a frame that arrives ends the
+/// wait at once. Long enough to keep the hot path cheap (one timeout
+/// per quantum), short enough to keep failure-detection latency far
 /// below the lease window.
 pub(crate) const PUMP_QUANTUM: Duration = Duration::from_millis(5);
 
@@ -95,9 +97,9 @@ impl Engine {
     }
 
     /// Bounded blocking pump: poll for failures, then wait up to one
-    /// quantum for a frame. Every formerly-unbounded `endpoint.recv()`
-    /// loop goes through this, which is what turns a dead peer into an
-    /// error instead of a hang.
+    /// quantum for a frame (spin, then a bounded park). Every
+    /// formerly-unbounded `endpoint.recv()` loop goes through this,
+    /// which is what turns a dead peer into an error instead of a hang.
     pub(crate) fn blocking_pump(&mut self) -> Result<()> {
         self.poll_failures()?;
         if let Some(frame) = self.endpoint.recv_timeout(PUMP_QUANTUM)? {

@@ -18,8 +18,6 @@
 //! * [`tcp::TcpDevice`] — a socket device for DM mode, running over
 //!   loopback TCP, optionally shaped by a [`netmodel::NetworkModel`]
 //!   reproducing the paper's 10BaseT Ethernet link.
-//! * [`ring::spsc_ring`] — a lock-free single-producer/single-consumer ring
-//!   used as the fast path of the SHM device (ablation: ring vs mutex).
 //! * [`hybrid::HybridDevice`] — a multi-fabric device for cluster-shaped
 //!   jobs: a [`NodeMap`] places ranks on nodes, intra-node traffic takes
 //!   the shm-class path and inter-node traffic the modelled link, each
@@ -31,6 +29,11 @@
 //! * [`fault::FaultEndpoint`] — a deterministic fault-injection wrapper
 //!   (kill/drop/delay) available on every device via
 //!   [`FabricConfig::with_faults`].
+//!
+//! The shm, p4, tcp and hybrid devices deliver into per-rank
+//! [`mailbox::Mailbox`]es: bounded FIFO inboxes whose blocking receive
+//! spins for about one thread wakeup's worth of time before it parks,
+//! and whose senders make a wake syscall only when a receiver is parked.
 //!
 //! All devices expose the same [`Endpoint`] interface: ordered,
 //! reliable point-to-point delivery of [`frame::Frame`]s between a fixed
@@ -47,7 +50,6 @@ pub mod mailbox;
 pub mod netmodel;
 pub mod nodemap;
 pub mod p4;
-pub mod ring;
 pub mod shm;
 pub mod spool;
 pub mod tcp;

@@ -109,9 +109,12 @@ impl TcpDevice {
 }
 
 /// Read frames off `stream` forever (until EOF/error) and push them into
-/// `inbox`, stamping each with its modelled arrival time.
-fn spawn_reader(
-    mut stream: TcpStream,
+/// `inbox`, stamping each with its modelled arrival time. The payload
+/// length in a header is not trusted for allocation: the buffer grows
+/// only with the bytes that actually arrive, and a frame cut short by
+/// EOF or an error is dropped.
+fn spawn_reader<R: Read + Send + 'static>(
+    mut stream: R,
     inbox: SharedMailbox,
     network: NetworkModel,
 ) -> std::thread::JoinHandle<()> {
@@ -125,9 +128,14 @@ fn spawn_reader(
                 Ok(v) => v,
                 Err(_) => break,
             };
-            let mut payload = vec![0u8; payload_len];
-            if payload_len > 0 && stream.read_exact(&mut payload).is_err() {
-                break;
+            let mut payload = Vec::new();
+            match stream
+                .by_ref()
+                .take(payload_len as u64)
+                .read_to_end(&mut payload)
+            {
+                Ok(n) if n == payload_len => {}
+                _ => break,
             }
             let due = network.due(payload_len);
             let frame = Frame::new(header, Bytes::from(payload));
@@ -294,6 +302,21 @@ mod tests {
             start.elapsed() >= Duration::from_millis(35),
             "network model latency was not applied"
         );
+    }
+
+    #[test]
+    fn forged_payload_length_is_not_allocated() {
+        let header = frame(0, 1, 1, b"").header.encode(1 << 40);
+        let mut wire = header.to_vec();
+        wire.extend_from_slice(b"only a few bytes, then EOF");
+        let inbox: SharedMailbox = Arc::new(Mailbox::new(4));
+        let reader = spawn_reader(
+            std::io::Cursor::new(wire),
+            Arc::clone(&inbox),
+            NetworkModel::unshaped(),
+        );
+        reader.join().expect("reader thread must exit cleanly");
+        assert!(inbox.is_empty(), "a short frame must not be delivered");
     }
 
     #[test]
