@@ -327,23 +327,10 @@ fn raw_socket_pingpong(spec: &PingPongSpec, config: &StackConfig) -> Vec<PingPon
 fn native_pingpong(spec: &PingPongSpec, config: &StackConfig) -> Vec<PingPongPoint> {
     use mpi_native::{SendMode, Universe, UniverseConfig, COMM_WORLD};
     let universe = UniverseConfig {
-        size: 2,
-        device: config.device,
-        network: config.network,
-        profile: config.profile,
-        eager_threshold: None,
-        segment_bytes: None,
-        coll_algorithm: None,
-        nodes: None,
-        inter_profile: mpi_transport::DeviceProfile::default(),
-        inter_network: mpi_transport::NetworkModel::unshaped(),
-        processor_name_prefix: None,
-        progress: None,
-        spool_dir: None,
-        lease: None,
-        faults: None,
         trace: spec.trace,
-        trace_dir: None,
+        ..UniverseConfig::new(2, config.device)
+            .with_network(config.network)
+            .with_profile(config.profile)
     };
     let sizes = spec.sizes.clone();
     let reps = spec.reps;

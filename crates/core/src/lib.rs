@@ -539,25 +539,28 @@ impl MPI {
     }
 }
 
+/// One rank of an [`MpiRuntime`] job: its [`MPI`] environment and, in
+/// [`ProgressMode::Thread`], its progress thread (stopped and joined
+/// when the rank is dropped).
+struct Rank {
+    mpi: MPI,
+    _progress: Option<ProgressThread>,
+}
+
+impl mpi_native::universe::RankState for Rank {
+    fn abort_job(&mut self) {
+        self.mpi.with_engine(|engine| engine.abort_job());
+    }
+}
+
 /// Job launcher: plays `mpirun` + `MPI.Init` for an SPMD closure.
+///
+/// The builders write into one [`UniverseConfig`](mpi_native::UniverseConfig);
+/// a knob left unset is read from its `MPIJAVA_*` variable once per
+/// [`run`](MpiRuntime::run), so a value set here always wins.
 #[derive(Debug, Clone)]
 pub struct MpiRuntime {
-    size: usize,
-    device: DeviceKind,
-    network: NetworkModel,
-    profile: DeviceProfile,
-    nodes: Option<NodeMap>,
-    inter_network: NetworkModel,
-    inter_profile: DeviceProfile,
-    eager_threshold: Option<usize>,
-    segment_bytes: Option<usize>,
-    coll_algorithm: Option<CollAlgorithm>,
-    progress: Option<ProgressMode>,
-    spool_dir: Option<std::path::PathBuf>,
-    lease: Option<std::time::Duration>,
-    faults: Option<FaultPlan>,
-    trace: Option<TraceConfig>,
-    trace_dir: Option<std::path::PathBuf>,
+    config: mpi_native::UniverseConfig,
     thread_level: ThreadLevel,
     jni: JniConfig,
 }
@@ -566,22 +569,7 @@ impl MpiRuntime {
     /// `size` ranks over the optimised shared-memory device.
     pub fn new(size: usize) -> MpiRuntime {
         MpiRuntime {
-            size,
-            device: DeviceKind::ShmFast,
-            network: NetworkModel::unshaped(),
-            profile: DeviceProfile::default(),
-            nodes: None,
-            inter_network: NetworkModel::unshaped(),
-            inter_profile: DeviceProfile::default(),
-            eager_threshold: None,
-            segment_bytes: None,
-            coll_algorithm: None,
-            progress: None,
-            spool_dir: None,
-            lease: None,
-            faults: None,
-            trace: None,
-            trace_dir: None,
+            config: mpi_native::UniverseConfig::new(size, DeviceKind::ShmFast),
             thread_level: ThreadLevel::Single,
             jni: JniConfig::default(),
         }
@@ -590,19 +578,19 @@ impl MpiRuntime {
     /// Select the transport device (`ShmFast` ~ WMPI, `ShmP4` ~ MPICH,
     /// `Tcp` ~ the distributed-memory configuration).
     pub fn device(mut self, device: DeviceKind) -> Self {
-        self.device = device;
+        self.config.device = device;
         self
     }
 
     /// Attach a link model (used for DM-mode experiments).
     pub fn network(mut self, network: NetworkModel) -> Self {
-        self.network = network;
+        self.config.network = network;
         self
     }
 
     /// Attach a synthetic per-message device cost (calibration).
     pub fn profile(mut self, profile: DeviceProfile) -> Self {
-        self.profile = profile;
+        self.config.profile = profile;
         self
     }
 
@@ -613,34 +601,36 @@ impl MpiRuntime {
     /// hierarchical algorithms when the map is non-trivial. Takes
     /// precedence over the `MPIJAVA_NODES` environment override.
     pub fn nodes(mut self, nodes: NodeMap) -> Self {
-        self.nodes = Some(nodes);
+        self.config.nodes = Some(nodes);
         self
     }
 
     /// Attach an inter-node link model (hybrid device).
     pub fn inter_network(mut self, network: NetworkModel) -> Self {
-        self.inter_network = network;
+        self.config.inter_network = network;
         self
     }
 
     /// Attach an inter-node cost profile (hybrid device).
     pub fn inter_profile(mut self, profile: DeviceProfile) -> Self {
-        self.inter_profile = profile;
+        self.config.inter_profile = profile;
         self
     }
 
-    /// Override the eager/rendezvous threshold.
+    /// Set the eager/rendezvous threshold. Takes precedence over the
+    /// `MPIJAVA_EAGER_LIMIT` environment override.
     pub fn eager_threshold(mut self, bytes: usize) -> Self {
-        self.eager_threshold = Some(bytes);
+        self.config.eager_threshold = Some(bytes);
         self
     }
 
     /// Enable segmented (pipelined) large-message transfers with this
     /// segment size on every rank (rendezvous payloads stream as
     /// zero-copy segment frames; the `pipelined` bcast algorithm streams
-    /// them down the tree). Equivalent to `MPIJAVA_SEGMENT_BYTES`.
+    /// them down the tree). Takes precedence over the
+    /// `MPIJAVA_SEGMENT_BYTES` environment override.
     pub fn segment_bytes(mut self, bytes: usize) -> Self {
-        self.segment_bytes = Some(bytes);
+        self.config.segment_bytes = Some(bytes);
         self
     }
 
@@ -649,7 +639,7 @@ impl MpiRuntime {
     /// classic and idiomatic collective surfaces both route through the
     /// engine's selector, so the pin affects either API uniformly.
     pub fn coll_algorithm(mut self, alg: CollAlgorithm) -> Self {
-        self.coll_algorithm = Some(alg);
+        self.config.coll_algorithm = Some(alg);
         self
     }
 
@@ -661,7 +651,7 @@ impl MpiRuntime {
     /// `MPIJAVA_PROGRESS` environment override; unset defaults to
     /// [`Manual`](ProgressMode::Manual).
     pub fn progress(mut self, mode: ProgressMode) -> Self {
-        self.progress = Some(mode);
+        self.config.progress = Some(mode);
         self
     }
 
@@ -671,7 +661,7 @@ impl MpiRuntime {
     /// `MPIJAVA_SPOOL_DIR` environment override; unset means an
     /// ephemeral per-job temp directory.
     pub fn spool_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.spool_dir = Some(dir.into());
+        self.config.spool_dir = Some(dir.into());
         self
     }
 
@@ -682,7 +672,7 @@ impl MpiRuntime {
     /// over the `MPIJAVA_LEASE_MS` environment override; unset keeps
     /// [`DEFAULT_LEASE`].
     pub fn lease(mut self, lease: std::time::Duration) -> Self {
-        self.lease = Some(lease);
+        self.config.lease = Some(lease);
         self
     }
 
@@ -690,7 +680,7 @@ impl MpiRuntime {
     /// tool). Takes precedence over the `MPIJAVA_FAULT` environment
     /// override.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = Some(faults);
+        self.config.faults = Some(faults);
         self
     }
 
@@ -701,7 +691,7 @@ impl MpiRuntime {
     /// finalize. Takes precedence over the `MPIJAVA_TRACE` environment
     /// override; unset defaults to [`TraceMode::Off`].
     pub fn trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = Some(trace);
+        self.config.trace = Some(trace);
         self
     }
 
@@ -710,7 +700,7 @@ impl MpiRuntime {
     /// environment override; unset falls back to `<spool>/trace` on the
     /// spool device, else no automatic dump.
     pub fn trace_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.trace_dir = Some(dir.into());
+        self.config.trace_dir = Some(dir.into());
         self
     }
 
@@ -730,122 +720,23 @@ impl MpiRuntime {
     }
 
     /// Start `size` ranks, each running `f` with its own [`MPI`]
-    /// environment, and return the per-rank results in rank order.
+    /// environment, and return the per-rank results in rank order. A
+    /// panic on any rank aborts the job and is reported as an error.
     pub fn run<T, F>(&self, f: F) -> MpiResult<Vec<T>>
     where
         T: Send,
         F: Fn(&MPI) -> MpiResult<T> + Send + Sync,
     {
-        let config = mpi_native::UniverseConfig {
-            size: self.size,
-            device: self.device,
-            network: self.network,
-            profile: self.profile,
-            eager_threshold: self.eager_threshold,
-            segment_bytes: self.segment_bytes,
-            coll_algorithm: self.coll_algorithm,
-            nodes: self.nodes.clone(),
-            inter_profile: self.inter_profile,
-            inter_network: self.inter_network,
-            progress: self.progress,
-            processor_name_prefix: None,
-            spool_dir: self.spool_dir.clone(),
-            lease: self.lease,
-            faults: self.faults.clone(),
-            trace: self.trace,
-            trace_dir: self.trace_dir.clone(),
-        };
-        let mut fabric_config = mpi_transport::FabricConfig::new(self.size, self.device)
-            .with_network(self.network)
-            .with_profile(self.profile)
-            .with_nodes(config.resolved_nodes())
-            .with_inter_network(self.inter_network)
-            .with_inter_profile(self.inter_profile)
-            .with_lease(config.resolved_lease())
-            .with_faults(config.resolved_faults());
-        if let Some(dir) = config.resolved_spool_dir() {
-            fabric_config = fabric_config.with_spool_dir(dir);
-        }
-        let trace = config.resolved_trace();
-        let trace_dir = config.resolved_trace_dir();
-        if trace.mode != TraceMode::Off {
-            // Any observability beyond the engine counters also turns on
-            // the transport-level frame counters.
-            fabric_config = fabric_config.with_frame_counters(true);
-        }
-        let progress = config.resolved_progress();
-        let _ = config; // UniverseConfig documents the mapping; we build directly.
-        let endpoints = mpi_transport::Fabric::build(fabric_config)
-            .map_err(mpi_native::MpiError::from)?
-            .into_endpoints();
-        let f = &f;
-        let jni = self.jni;
-        let eager = self.eager_threshold;
-        let segment = self.segment_bytes;
-        let coll = self.coll_algorithm;
-        let thread_level = self.thread_level;
-        let trace_set = self.trace.is_some();
-        let trace_dir = &trace_dir;
-
-        let results: Vec<MpiResult<T>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.size);
-            for endpoint in endpoints {
-                handles.push(scope.spawn(move || {
-                    let mut engine = Engine::new(endpoint);
-                    if let Some(bytes) = eager {
-                        engine.set_eager_threshold(bytes);
-                    }
-                    if segment.is_some() {
-                        engine.set_segment_bytes(segment);
-                    }
-                    if coll.is_some() {
-                        engine.set_coll_algorithm(coll);
-                    }
-                    // Engine::new already folded the MPIJAVA_TRACE env in;
-                    // only override when configured programmatically.
-                    if trace_set {
-                        engine.set_trace(trace);
-                    }
-                    if let Some(dir) = trace_dir {
-                        engine.set_trace_dir(dir.clone());
-                    }
-                    let (mpi, _provided) = MPI::init_thread(engine, jni, thread_level);
-                    // Background progress: one thread per rank, stopped
-                    // and joined (via the guard's drop) before the
-                    // rank's result is returned.
-                    let progress_guard = (progress == ProgressMode::Thread)
-                        .then(|| ProgressThread::spawn(Arc::clone(&mpi.env)));
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mpi)));
-                    drop(progress_guard);
-                    match outcome {
-                        Ok(result) => result,
-                        Err(panic) => {
-                            // Unblock the other ranks, then report.
-                            mpi.with_engine(|e| {
-                                let _ = e.abort(COMM_WORLD, 1);
-                            });
-                            let msg = panic
-                                .downcast_ref::<String>()
-                                .cloned()
-                                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                                .unwrap_or_else(|| "rank panicked".to_string());
-                            Err(MPIException::new(ErrorClass::Aborted, msg))
-                        }
-                    }
-                }));
+        let start = |engine, config: &mpi_native::UniverseConfig| {
+            let (mpi, _provided) = MPI::init_thread(engine, self.jni, self.thread_level);
+            let progress = (config.progress == Some(ProgressMode::Thread))
+                .then(|| ProgressThread::spawn(Arc::clone(&mpi.env)));
+            Rank {
+                mpi,
+                _progress: progress,
             }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(MPIException::new(ErrorClass::Intern, "rank thread crashed"))
-                    })
-                })
-                .collect()
-        });
-
-        results.into_iter().collect()
+        };
+        mpi_native::universe::launch(self.config.clone(), start, |rank| f(&rank.mpi))
     }
 }
 

@@ -33,7 +33,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use mpi_transport::Endpoint;
+use mpi_transport::{DeviceKind, Endpoint};
 
 use crate::error::{err, ErrorClass, MpiError, Result};
 use crate::Engine;
@@ -78,13 +78,17 @@ impl Engine {
         Ok(path)
     }
 
-    /// Build an engine over `endpoint` and, if the rank's spool
-    /// directory holds a checkpoint record, replay its counters (taking
-    /// the max against the fresh engine's own, so allocators only move
-    /// forward). Without a record this is exactly [`Engine::new`] — a
-    /// first-time late joiner restores from nothing.
+    /// Build an engine over `endpoint`, configured from the `MPIJAVA_*`
+    /// variables as a launch would be (see
+    /// [`UniverseConfig::resolve`](crate::UniverseConfig::resolve)), and,
+    /// if the rank's spool directory holds a checkpoint record, replay
+    /// its counters (taking the max against the fresh engine's own, so
+    /// allocators only move forward). Without a record this is the fresh
+    /// engine — a first-time late joiner restores from nothing.
     pub fn restore(endpoint: Box<dyn Endpoint>) -> Result<Engine> {
-        let mut engine = Engine::new(endpoint);
+        let config = crate::UniverseConfig::new(endpoint.size(), DeviceKind::Spool)
+            .resolve(&crate::env::process_env);
+        let mut engine = config.engine(endpoint);
         let Some(root) = engine.endpoint.spool_dir() else {
             return err(
                 ErrorClass::Unsupported,

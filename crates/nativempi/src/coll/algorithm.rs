@@ -4,10 +4,11 @@
 //! Which wire pattern a collective uses is normally decided by the tuning
 //! table in [`tuning`](super::tuning). For ablations the choice can be
 //! pinned, either programmatically
-//! ([`Engine::set_coll_algorithm`](crate::Engine::set_coll_algorithm),
-//! `MpiRuntime::coll_algorithm` in the binding) or through the
-//! [`COLL_ALG_ENV`] environment variable, which every engine reads once at
-//! construction time. A pinned algorithm that cannot implement the
+//! ([`UniverseConfig::with_coll_algorithm`](crate::UniverseConfig::with_coll_algorithm),
+//! `MpiRuntime::coll_algorithm` in the binding,
+//! [`Engine::set_coll_algorithm`](crate::Engine::set_coll_algorithm) on a
+//! running engine) or through the [`COLL_ALG_ENV`] environment variable,
+//! which the launcher reads once per job. A pinned algorithm that cannot implement the
 //! requested operation (see [`tuning::supported`](super::tuning::supported))
 //! falls back to the tuned choice, so a forced run is always correct —
 //! just possibly less interesting.
@@ -17,8 +18,8 @@ use std::str::FromStr;
 
 /// Environment variable pinning the collective algorithm for ablations:
 /// `MPIJAVA_COLL_ALG=linear|tree|rd|ring|pipelined|hier`. Unset, empty
-/// or `auto` keeps the tuned size-aware selection. Every rank of a job
-/// reads the same process environment, so the choice is symmetric by
+/// or `auto` keeps the tuned size-aware selection. The launcher reads it
+/// once and pins the same choice on every rank, so it is symmetric by
 /// construction.
 pub const COLL_ALG_ENV: &str = "MPIJAVA_COLL_ALG";
 
@@ -89,33 +90,29 @@ impl CollAlgorithm {
         }
     }
 
-    /// Read the [`COLL_ALG_ENV`] override from the process environment.
+    /// Read the [`COLL_ALG_ENV`] override through `lookup` (see
+    /// [`UniverseConfig::resolve`](crate::UniverseConfig::resolve)).
     /// Unset, empty or `auto` mean "no override"; an unrecognized value
     /// is rejected *loudly* — a warning on stderr naming the accepted
     /// values — and falls back to the tuned selection, so a typo in an
     /// ablation run cannot silently measure the wrong algorithm.
-    pub fn from_env() -> Option<CollAlgorithm> {
-        match std::env::var(COLL_ALG_ENV) {
-            Ok(value) => match CollAlgorithm::parse_override(&value) {
-                Ok(choice) => choice,
-                Err(()) => {
-                    eprintln!(
-                        "warning: {COLL_ALG_ENV}={value:?} is not a recognized collective \
-                         algorithm (expected linear|tree|rd|ring|pipelined|hier|auto); \
-                         falling back to the tuned selection"
-                    );
-                    None
-                }
-            },
-            Err(_) => None,
-        }
+    pub fn from_env(lookup: crate::env::Lookup) -> Option<CollAlgorithm> {
+        let value = lookup(COLL_ALG_ENV)?;
+        CollAlgorithm::parse_override(&value).unwrap_or_else(|()| {
+            eprintln!(
+                "warning: {COLL_ALG_ENV}={value:?} is not a recognized collective \
+                 algorithm (expected linear|tree|rd|ring|pipelined|hier|auto); \
+                 falling back to the tuned selection"
+            );
+            None
+        })
     }
 
     /// Parse an override value: `Ok(None)` for the explicit no-override
     /// spellings (empty, `auto`), `Ok(Some(_))` for a recognized
     /// algorithm, `Err(())` for anything else. Factored out of
-    /// [`CollAlgorithm::from_env`] so the rejection rule is unit-testable
-    /// without racing on the process environment.
+    /// [`CollAlgorithm::from_env`] so the rejection rule is
+    /// unit-testable on its own.
     #[allow(clippy::result_unit_err)] // mirrors the FromStr impl's unit error
     pub fn parse_override(value: &str) -> std::result::Result<Option<CollAlgorithm>, ()> {
         let trimmed = value.trim();

@@ -39,8 +39,10 @@
 //! [`tuning`] picks an algorithm from (operation, communicator size,
 //! payload bytes, reduction-order policy, node topology); the choice can
 //! be pinned with
-//! [`CollAlgorithm`] via [`Engine::set_coll_algorithm`] or the
-//! `MPIJAVA_COLL_ALG` environment variable ([`algorithm::COLL_ALG_ENV`]).
+//! [`CollAlgorithm`] at launch (`UniverseConfig::with_coll_algorithm` or
+//! the `MPIJAVA_COLL_ALG` environment variable,
+//! [`algorithm::COLL_ALG_ENV`]) or on a running engine with
+//! [`Engine::set_coll_algorithm`].
 //! Whatever is selected, every algorithm produces byte-identical results
 //! (the cross-algorithm equivalence suite in
 //! `tests/coll_equivalence.rs` enforces it — including every

@@ -34,8 +34,10 @@
 //! *k+1* — the overlap the algorithm exists for.
 //!
 //! The segment size comes from the engine's pipeline configuration
-//! (`MPIJAVA_SEGMENT_BYTES` / [`Engine::set_segment_bytes`]), falling
-//! back to [`DEFAULT_BCAST_SEGMENT_BYTES`].
+//! (set at launch from `UniverseConfig::segment_bytes` or
+//! `MPIJAVA_SEGMENT_BYTES`, or on a running engine with
+//! [`Engine::set_segment_bytes`]), falling back to
+//! [`DEFAULT_BCAST_SEGMENT_BYTES`].
 //!
 //! ## Selection
 //!
@@ -43,8 +45,9 @@
 //! selected payload-blind (per-rank buffer lengths legally differ before
 //! the call, so a payload-keyed choice could diverge across ranks — see
 //! [`super::tuning`]), and without a payload axis the plain tree is the
-//! safe default. Pin it with `MPIJAVA_COLL_ALG=pipelined`,
-//! [`Engine::set_coll_algorithm`] or `MpiRuntime::coll_algorithm` — the
+//! safe default. Pin it at launch with `MPIJAVA_COLL_ALG=pipelined`,
+//! `UniverseConfig::with_coll_algorithm` or `MpiRuntime::coll_algorithm`,
+//! or on a running engine with [`Engine::set_coll_algorithm`] — the
 //! collectives benchmark does exactly that for its pipelined-vs-tree
 //! cells. Results are byte-identical to every other bcast algorithm (the
 //! equivalence suite includes the pipelined run).

@@ -4,13 +4,17 @@
 //!
 //! ## Environment overrides
 //!
-//! Like `MPIJAVA_COLL_ALG` (see [`crate::coll::COLL_ALG_ENV`]), these are
-//! read once per engine at construction time; every rank of a job shares
-//! the process environment, so the settings are symmetric by
-//! construction. Programmatic configuration
-//! ([`Engine::set_eager_threshold`], [`Engine::set_segment_bytes`],
-//! `UniverseConfig::with_eager_threshold` / `with_segment_bytes`) takes
-//! precedence because it is applied after construction.
+//! These are read once per launch, by
+//! [`UniverseConfig::resolve`](crate::UniverseConfig::resolve): the
+//! [`Universe`](crate::Universe) and `MpiRuntime` launchers call it once
+//! per job and hand every rank the same resolved values, so the settings
+//! are symmetric by construction; [`Engine::restore`] calls it for the
+//! rank it rebuilds. [`Engine::new`] reads no environment. A value set
+//! in code (`UniverseConfig::with_*`, the `MpiRuntime` builders) takes
+//! precedence: `resolve` reads a variable only for a knob left unset. A
+//! malformed value warns once on stderr and keeps the default. The
+//! [`Engine::set_eager_threshold`]-style setters change a running
+//! engine.
 //!
 //! | variable | effect |
 //! |----------|--------|
@@ -27,6 +31,7 @@
 //!
 //! Sizes accept an optional `k`/`K` (KiB) or `m`/`M` (MiB) suffix:
 //! `MPIJAVA_EAGER_LIMIT=64k`, `MPIJAVA_SEGMENT_BYTES=1M`.
+//! `MPIJAVA_SEGMENT_BYTES=0` turns segmentation off.
 //!
 //! ## `MPIJAVA_PROGRESS`
 //!
@@ -99,8 +104,8 @@
 //! ## `MPIJAVA_TRACE` and `MPIJAVA_TRACE_DIR`
 //!
 //! The observability level of the [`crate::trace`] subsystem, read once
-//! per engine at construction time (`UniverseConfig::with_trace` /
-//! `MpiRuntime::trace` take precedence):
+//! per launch (`UniverseConfig::with_trace` / `MpiRuntime::trace` take
+//! precedence):
 //!
 //! * `off` (aliases `none`, `0`, the default) — the always-compiled
 //!   [`crate::EngineStats`] counters only; every trace hook is one enum
@@ -133,14 +138,16 @@ use crate::Engine;
 
 /// Environment variable overriding the eager/rendezvous switch-over
 /// point, mirroring [`crate::UniverseConfig::with_eager_threshold`]:
-/// `MPIJAVA_EAGER_LIMIT=<bytes>[k|m]`. Unset or unparsable keeps
-/// [`crate::DEFAULT_EAGER_THRESHOLD`].
+/// `MPIJAVA_EAGER_LIMIT=<bytes>[k|m]`. Unset keeps
+/// [`crate::DEFAULT_EAGER_THRESHOLD`]; a malformed value warns on stderr
+/// and keeps it too.
 pub const EAGER_LIMIT_ENV: &str = "MPIJAVA_EAGER_LIMIT";
 
 /// Environment variable enabling segmented (pipelined) large-message
-/// transfers: `MPIJAVA_SEGMENT_BYTES=<bytes>[k|m]`. Unset means no
-/// segmentation for point-to-point rendezvous payloads (the pipelined
-/// broadcast falls back to its own default segment size).
+/// transfers: `MPIJAVA_SEGMENT_BYTES=<bytes>[k|m]`. Unset or `0` means
+/// no segmentation for point-to-point rendezvous payloads (the pipelined
+/// broadcast falls back to its own default segment size); a malformed
+/// value warns on stderr and keeps segmentation off.
 pub const SEGMENT_BYTES_ENV: &str = "MPIJAVA_SEGMENT_BYTES";
 
 /// Environment variable placing ranks on nodes for the launchers:
@@ -217,15 +224,27 @@ impl std::fmt::Display for ProgressMode {
     }
 }
 
-/// Read the [`PROGRESS_ENV`] override. Unset (or empty) means no
-/// override; a malformed value warns on stderr and falls back to
-/// [`ProgressMode::Manual`] rather than silently changing the job's
-/// concurrency profile.
-pub fn progress_from_env() -> Option<ProgressMode> {
-    let raw = std::env::var(PROGRESS_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
+/// Where the `MPIJAVA_*` variables are read from: [`process_env`] when
+/// a job launches, a fixed table in tests (see
+/// [`UniverseConfig::resolve`](crate::UniverseConfig::resolve)).
+pub type Lookup<'a> = &'a dyn Fn(&str) -> Option<String>;
+
+/// The process environment as a [`Lookup`].
+pub fn process_env(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
+/// The value of `name` through `lookup`; unset or blank is `None`.
+fn var(lookup: Lookup, name: &str) -> Option<String> {
+    lookup(name).filter(|raw| !raw.trim().is_empty())
+}
+
+/// Read the [`PROGRESS_ENV`] override through `lookup`. Unset (or
+/// empty) means no override; a malformed value warns on stderr and
+/// falls back to [`ProgressMode::Manual`] rather than silently changing
+/// the job's concurrency profile.
+pub fn progress_from(lookup: Lookup) -> Option<ProgressMode> {
+    let raw = var(lookup, PROGRESS_ENV)?;
     match ProgressMode::parse(&raw) {
         Some(mode) => Some(mode),
         None => {
@@ -238,15 +257,17 @@ pub fn progress_from_env() -> Option<ProgressMode> {
     }
 }
 
-/// Read the [`NODES_ENV`] placement override for a job of `size` ranks.
-/// Unset (or empty) means no override; a malformed or size-inconsistent
-/// value warns on stderr and is ignored rather than silently reshaping
-/// the job.
-pub fn nodes_from_env(size: usize) -> Option<NodeMap> {
-    let raw = std::env::var(NODES_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
+/// [`progress_from`] over the process environment.
+pub fn progress_from_env() -> Option<ProgressMode> {
+    progress_from(&process_env)
+}
+
+/// Read the [`NODES_ENV`] placement override for a job of `size` ranks
+/// through `lookup`. Unset (or empty) means no override; a malformed or
+/// size-inconsistent value warns on stderr and is ignored rather than
+/// silently reshaping the job.
+pub fn nodes_from(lookup: Lookup, size: usize) -> Option<NodeMap> {
+    let raw = var(lookup, NODES_ENV)?;
     match NodeMap::parse(&raw, size) {
         Ok(map) => Some(map),
         Err(reason) => {
@@ -259,26 +280,24 @@ pub fn nodes_from_env(size: usize) -> Option<NodeMap> {
     }
 }
 
-/// Read the [`SPOOL_DIR_ENV`] override. Unset (or empty) means an
-/// ephemeral spool; no validation happens here — the spool device itself
-/// reports a root it cannot create or attach to.
-pub fn spool_dir_from_env() -> Option<PathBuf> {
-    let raw = std::env::var(SPOOL_DIR_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
-    Some(PathBuf::from(raw))
+/// Read the [`SPOOL_DIR_ENV`] override through `lookup`. Unset (or
+/// empty) means an ephemeral spool; no validation happens here — the
+/// spool device itself reports a root it cannot create or attach to.
+pub fn spool_dir_from(lookup: Lookup) -> Option<PathBuf> {
+    var(lookup, SPOOL_DIR_ENV).map(PathBuf::from)
 }
 
-/// Read the [`LEASE_MS_ENV`] override. Unset (or empty) means no
-/// override; a malformed or zero value warns on stderr and falls back to
-/// the default lease rather than silently changing (or breaking) the
-/// job's failure-detection window.
-pub fn lease_from_env() -> Option<Duration> {
-    let raw = std::env::var(LEASE_MS_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
+/// [`spool_dir_from`] over the process environment.
+pub fn spool_dir_from_env() -> Option<PathBuf> {
+    spool_dir_from(&process_env)
+}
+
+/// Read the [`LEASE_MS_ENV`] override through `lookup`. Unset (or
+/// empty) means no override; a malformed or zero value warns on stderr
+/// and falls back to the default lease rather than silently changing
+/// (or breaking) the job's failure-detection window.
+pub fn lease_from(lookup: Lookup) -> Option<Duration> {
+    let raw = var(lookup, LEASE_MS_ENV)?;
     match raw.trim().parse::<u64>() {
         Ok(ms) if ms > 0 => Some(Duration::from_millis(ms)),
         _ => {
@@ -291,14 +310,17 @@ pub fn lease_from_env() -> Option<Duration> {
     }
 }
 
-/// Read the [`FAULT_ENV`] fault-injection plan. Unset (or empty) means
-/// no faults; a malformed plan warns on stderr and is ignored rather
-/// than letting a typo inject (or suppress) failures silently.
-pub fn faults_from_env() -> Option<FaultPlan> {
-    let raw = std::env::var(FAULT_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
+/// [`lease_from`] over the process environment.
+pub fn lease_from_env() -> Option<Duration> {
+    lease_from(&process_env)
+}
+
+/// Read the [`FAULT_ENV`] fault-injection plan through `lookup`. Unset
+/// (or empty) means no faults; a malformed plan warns on stderr and is
+/// ignored rather than letting a typo inject (or suppress) failures
+/// silently.
+pub fn faults_from(lookup: Lookup) -> Option<FaultPlan> {
+    let raw = var(lookup, FAULT_ENV)?;
     match FaultPlan::parse(&raw) {
         Ok(plan) => Some(plan),
         Err(reason) => {
@@ -311,14 +333,17 @@ pub fn faults_from_env() -> Option<FaultPlan> {
     }
 }
 
-/// Read the [`TRACE_ENV`] override. Unset (or empty) means no override;
-/// a malformed value warns on stderr and falls back to tracing `off`
-/// rather than silently recording (or discarding) a job's trace.
-pub fn trace_from_env() -> Option<crate::trace::TraceConfig> {
-    let raw = std::env::var(TRACE_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
+/// [`faults_from`] over the process environment.
+pub fn faults_from_env() -> Option<FaultPlan> {
+    faults_from(&process_env)
+}
+
+/// Read the [`TRACE_ENV`] override through `lookup`. Unset (or empty)
+/// means no override; a malformed value warns on stderr and falls back
+/// to tracing `off` rather than silently recording (or discarding) a
+/// job's trace.
+pub fn trace_from(lookup: Lookup) -> Option<crate::trace::TraceConfig> {
+    let raw = var(lookup, TRACE_ENV)?;
     match crate::trace::TraceConfig::parse(&raw) {
         Some(cfg) => Some(cfg),
         None => {
@@ -331,15 +356,21 @@ pub fn trace_from_env() -> Option<crate::trace::TraceConfig> {
     }
 }
 
-/// Read the [`TRACE_DIR_ENV`] override. Unset (or empty) means no
-/// override; no validation happens here — the dump path reports a
-/// directory it cannot create.
+/// [`trace_from`] over the process environment.
+pub fn trace_from_env() -> Option<crate::trace::TraceConfig> {
+    trace_from(&process_env)
+}
+
+/// Read the [`TRACE_DIR_ENV`] override through `lookup`. Unset (or
+/// empty) means no override; no validation happens here — the dump path
+/// reports a directory it cannot create.
+pub fn trace_dir_from(lookup: Lookup) -> Option<PathBuf> {
+    var(lookup, TRACE_DIR_ENV).map(PathBuf::from)
+}
+
+/// [`trace_dir_from`] over the process environment.
 pub fn trace_dir_from_env() -> Option<PathBuf> {
-    let raw = std::env::var(TRACE_DIR_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
-    Some(PathBuf::from(raw))
+    trace_dir_from(&process_env)
 }
 
 /// Parse a byte size with an optional `k`/`K` (KiB) or `m`/`M` (MiB)
@@ -358,9 +389,20 @@ pub fn parse_byte_size(raw: &str) -> Option<usize> {
         .and_then(|n| n.checked_mul(multiplier))
 }
 
-/// Read a byte-size override from the process environment.
-pub(crate) fn bytes_from_env(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| parse_byte_size(&v))
+/// Read a byte-size override ([`EAGER_LIMIT_ENV`],
+/// [`SEGMENT_BYTES_ENV`]) through `lookup`. Unset (or empty) means no
+/// override; a malformed value warns on stderr and is ignored, so the
+/// default stays.
+pub fn bytes_from(lookup: Lookup, name: &str) -> Option<usize> {
+    let raw = var(lookup, name)?;
+    let bytes = parse_byte_size(&raw);
+    if bytes.is_none() {
+        eprintln!(
+            "warning: {name}={raw:?} is not a byte size \
+             (expected <bytes>[k|m]); keeping the default"
+        );
+    }
+    bytes
 }
 
 /// Keys of the predefined communicator attributes (`MPI_TAG_UB`,
@@ -396,12 +438,6 @@ impl Engine {
     /// `MPI_Get_processor_name`.
     pub fn processor_name(&self) -> &str {
         &self.processor_name
-    }
-
-    /// Override the processor name (used by the launcher to label ranks in
-    /// DM mode like the paper labels its two workstations).
-    pub fn set_processor_name(&mut self, name: impl Into<String>) {
-        self.processor_name = name.into();
     }
 
     /// Value of a predefined attribute on a communicator

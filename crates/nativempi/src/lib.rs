@@ -223,9 +223,8 @@ pub struct Engine {
     /// Observability state: mode flags, the preallocated event ring and
     /// the latency histograms (see [`trace`]).
     pub(crate) tracer: trace::Tracer,
-    /// Programmatic trace-dump directory; takes precedence over
-    /// `MPIJAVA_TRACE_DIR` and the spool-root fallback (see
-    /// [`Engine::dump_trace`]).
+    /// Configured trace-dump directory; takes precedence over the
+    /// spool-root fallback (see [`Engine::dump_trace`]).
     trace_dir: Option<std::path::PathBuf>,
     /// Wall-clock anchor for the engine's monotonic event timestamps,
     /// written into every trace dump's meta line so `tracemerge` can
@@ -246,9 +245,11 @@ pub const DEFAULT_EAGER_THRESHOLD: usize = 128 * 1024;
 impl Engine {
     /// Build an engine for one rank over the given endpoint.
     ///
-    /// This is `MPI_Init` for a single rank; most users go through
-    /// [`Universe::run`](universe::Universe::run), which builds the fabric
-    /// and one engine per rank.
+    /// This is `MPI_Init` for a single rank with every knob at its
+    /// built-in default; no `MPIJAVA_*` variable is read here. Most users
+    /// go through [`Universe::run`](universe::Universe::run), which builds
+    /// the fabric, resolves the job's configuration once (see
+    /// [`UniverseConfig::resolve`]) and configures one engine per rank.
     pub fn new(endpoint: Box<dyn Endpoint>) -> Engine {
         let world_rank = endpoint.rank();
         let world_size = endpoint.size();
@@ -269,11 +270,8 @@ impl Engine {
             pending_rendezvous: HashMap::new(),
             awaiting_rendezvous_data: HashMap::new(),
             next_token: 1,
-            eager_threshold: env::bytes_from_env(env::EAGER_LIMIT_ENV)
-                .unwrap_or(DEFAULT_EAGER_THRESHOLD),
-            // Same `> 0` normalization as `set_segment_bytes`: an
-            // explicit 0 means "segmentation off", never Some(0).
-            segment_bytes: env::bytes_from_env(env::SEGMENT_BYTES_ENV).filter(|&b| b > 0),
+            eager_threshold: DEFAULT_EAGER_THRESHOLD,
+            segment_bytes: None,
             send_pool: Vec::new(),
             attached_buffer: None,
             start_time: Instant::now(),
@@ -282,7 +280,7 @@ impl Engine {
             aborted: false,
             stats: EngineStats::default(),
             keyvals: HashMap::new(),
-            forced_coll_alg: coll::CollAlgorithm::from_env(),
+            forced_coll_alg: None,
             coll_requests: HashMap::new(),
             coll_seqs: HashMap::new(),
             coll_causal_seqs: HashMap::new(),
@@ -293,8 +291,8 @@ impl Engine {
             win_seqs: HashMap::new(),
             failed_ranks: std::collections::HashSet::new(),
             last_failure_poll: None,
-            tracer: trace::Tracer::new(env::trace_from_env().unwrap_or_default()),
-            trace_dir: env::trace_dir_from_env(),
+            tracer: trace::Tracer::new(trace::TraceConfig::off()),
+            trace_dir: None,
             start_unix_ns: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_nanos())
@@ -305,10 +303,10 @@ impl Engine {
         engine
     }
 
-    /// Override the eager/rendezvous switch-over point (bytes). Takes
-    /// precedence over the `MPIJAVA_EAGER_LIMIT` environment override
-    /// (see [`env::EAGER_LIMIT_ENV`]), which the engine read at
-    /// construction time.
+    /// Change the eager/rendezvous switch-over point (bytes) of a
+    /// running engine. At launch it comes from
+    /// [`UniverseConfig::eager_threshold`] or `MPIJAVA_EAGER_LIMIT` (see
+    /// [`env::EAGER_LIMIT_ENV`]), else [`DEFAULT_EAGER_THRESHOLD`].
     pub fn set_eager_threshold(&mut self, bytes: usize) {
         self.eager_threshold = bytes;
     }
@@ -324,9 +322,9 @@ impl Engine {
     /// receiver reassemble while later segments are still on the wire
     /// (and, through the pipelined broadcast of [`coll`], letting
     /// interior tree ranks forward segment *k* while receiving *k+1*).
-    /// `None` disables segmentation (the default unless the
-    /// `MPIJAVA_SEGMENT_BYTES` environment variable is set — see
-    /// [`env::SEGMENT_BYTES_ENV`]).
+    /// `None` or `Some(0)` disables segmentation, the default unless the
+    /// launch set [`UniverseConfig::segment_bytes`] or
+    /// `MPIJAVA_SEGMENT_BYTES` (see [`env::SEGMENT_BYTES_ENV`]).
     pub fn set_segment_bytes(&mut self, bytes: Option<usize>) {
         self.segment_bytes = bytes.filter(|&b| b > 0);
     }
@@ -336,9 +334,10 @@ impl Engine {
         self.segment_bytes
     }
 
-    /// Pin (or with `None`, un-pin) the collective algorithm, overriding
-    /// the size-aware tuning table of [`coll::tuning`] — the programmatic
-    /// form of the `MPIJAVA_COLL_ALG` environment override.
+    /// Pin (or with `None`, un-pin) the collective algorithm of a running
+    /// engine, overriding the size-aware tuning table of
+    /// [`coll::tuning`]. At launch the pin comes from
+    /// [`UniverseConfig::coll_algorithm`] or `MPIJAVA_COLL_ALG`.
     ///
     /// Collectives are cooperative, so the pin must be applied
     /// symmetrically on every rank of a communicator (the `Universe` /
@@ -383,8 +382,9 @@ impl Engine {
 
     // ---- observability (see the [`trace`] module) -------------------
 
-    /// Reconfigure tracing, replacing any `MPIJAVA_TRACE` setting the
-    /// engine read at construction. Rebuilds the event ring (preallocated
+    /// Reconfigure tracing, replacing the level the launch set (from
+    /// [`UniverseConfig::trace`] or `MPIJAVA_TRACE`; off on a bare
+    /// [`Engine::new`]). Rebuilds the event ring (preallocated
     /// for [`TraceMode::Events`], empty otherwise), so events and
     /// histograms recorded so far are discarded.
     pub fn set_trace(&mut self, config: trace::TraceConfig) {
@@ -396,15 +396,15 @@ impl Engine {
         self.tracer.config()
     }
 
-    /// Set the directory trace dumps go to, overriding
-    /// `MPIJAVA_TRACE_DIR` and the spool-root fallback (see
-    /// [`Engine::dump_trace`]).
+    /// Set the directory trace dumps go to, replacing the one the launch
+    /// set (from [`UniverseConfig::trace_dir`] or `MPIJAVA_TRACE_DIR`)
+    /// and the spool-root fallback (see [`Engine::dump_trace`]).
     pub fn set_trace_dir(&mut self, dir: impl Into<std::path::PathBuf>) {
         self.trace_dir = Some(dir.into());
     }
 
     /// The directory [`Engine::dump_trace`] would write to, if any:
-    /// programmatic setting first, then `MPIJAVA_TRACE_DIR`, then
+    /// the configured directory (see [`Engine::set_trace_dir`]), else
     /// `<spool root>/trace` when the fabric has a spool.
     pub fn trace_dir(&self) -> Option<std::path::PathBuf> {
         self.trace_dir

@@ -15,9 +15,9 @@
 //!   or more [`FrameKind::RendezvousData`] frames and completes. Because
 //!   the ack is only generated once a matching receive exists, this doubles
 //!   as the synchronous-mode completion rule.
-//! * **Segmented** — when a segment size is configured (the
-//!   `MPIJAVA_SEGMENT_BYTES` environment variable, read once at engine
-//!   construction, or [`Engine::set_segment_bytes`]), rendezvous payloads
+//! * **Segmented** — when a segment size is configured (at launch from
+//!   `UniverseConfig::segment_bytes` or the `MPIJAVA_SEGMENT_BYTES`
+//!   environment variable, or with [`Engine::set_segment_bytes`]), rendezvous payloads
 //!   larger than one segment are shipped as a pipeline of chunk frames —
 //!   zero-copy [`Bytes::slice`] views of the single held payload — and
 //!   reassembled on the receiver. The per-pair FIFO of the transport keeps

@@ -5,20 +5,32 @@
 //! "multiple processes on a single machine" shape the paper uses for its
 //! Shared-Memory mode, and (with the TCP device plus a network model) a
 //! faithful stand-in for its two-workstation Distributed-Memory mode.
+//!
+//! Every launch goes through [`launch`]: it resolves the job's
+//! [`UniverseConfig`] once (explicit values over `MPIJAVA_*` variables,
+//! see [`UniverseConfig::resolve`]), builds the fabric, configures each
+//! rank's engine from the resolved values, runs the ranks and turns a
+//! panicking rank into an aborted job. [`Universe::run_with_config`]
+//! and the binding's `MpiRuntime::run` are both thin layers over it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::Duration;
 
 use mpi_transport::{
-    DeviceKind, DeviceProfile, Fabric, FabricConfig, FaultPlan, NetworkModel, NodeMap,
+    DeviceKind, DeviceProfile, Endpoint, Fabric, FabricConfig, FaultPlan, NetworkModel, NodeMap,
 };
 
 use crate::comm::COMM_WORLD;
+use crate::env::{self, Lookup};
 use crate::error::{ErrorClass, MpiError, Result};
 use crate::Engine;
 
 /// Everything needed to launch a job.
+///
+/// The `Option` knobs left `None` are filled from their `MPIJAVA_*`
+/// variable when the job launches (see [`UniverseConfig::resolve`]); a
+/// knob still `None` after that keeps its built-in default.
 #[derive(Debug, Clone)]
 pub struct UniverseConfig {
     /// Number of ranks.
@@ -30,58 +42,51 @@ pub struct UniverseConfig {
     /// Synthetic device cost profile (calibration of the two "native MPI"
     /// implementations; defaults to no synthetic cost).
     pub profile: DeviceProfile,
-    /// Eager/rendezvous threshold override (`None` keeps the engine
-    /// default, i.e. `MPIJAVA_EAGER_LIMIT` or the built-in constant).
+    /// Eager/rendezvous threshold in bytes (`MPIJAVA_EAGER_LIMIT`;
+    /// default [`crate::DEFAULT_EAGER_THRESHOLD`]).
     pub eager_threshold: Option<usize>,
-    /// Pipeline segment size override for large transfers (`None` keeps
-    /// the engine default, i.e. `MPIJAVA_SEGMENT_BYTES` or disabled).
+    /// Pipeline segment size for large transfers
+    /// (`MPIJAVA_SEGMENT_BYTES`; default, and `0`, mean no segmentation).
     pub segment_bytes: Option<usize>,
-    /// Pin the collective algorithm on every rank (`None` keeps the tuned
-    /// size-aware selection; see [`crate::coll`]).
+    /// Collective algorithm pinned on every rank (`MPIJAVA_COLL_ALG`;
+    /// default: the tuned size-aware selection, see [`crate::coll`]).
     pub coll_algorithm: Option<crate::coll::CollAlgorithm>,
-    /// Rank → node placement (`None` falls back to the `MPIJAVA_NODES`
-    /// environment override, then to a flat single-node map). The
-    /// [`DeviceKind::Hybrid`] device routes by it; every device exposes
-    /// it through the engine's topology queries, and the collective
-    /// tuning layer auto-selects the hierarchical algorithms when it is
-    /// non-trivial.
+    /// Rank → node placement (`MPIJAVA_NODES`; default: one flat node).
+    /// The [`DeviceKind::Hybrid`] device routes by it; every device
+    /// exposes it through the engine's topology queries, and the
+    /// collective tuning layer auto-selects the hierarchical algorithms
+    /// when it is non-trivial.
     pub nodes: Option<NodeMap>,
     /// Inter-node cost profile (hybrid device; defaults to free).
     pub inter_profile: DeviceProfile,
     /// Inter-node link model (hybrid device; defaults to unshaped).
     pub inter_network: NetworkModel,
-    /// Processor-name prefix; rank `i` is named `<prefix><i>`.
-    pub processor_name_prefix: Option<String>,
-    /// Progress model (`None` falls back to the `MPIJAVA_PROGRESS`
-    /// environment override, then to [`crate::env::ProgressMode::Manual`]). The
-    /// `Universe` launcher hands each rank's engine to the closure by
-    /// exclusive reference, so the thread mode is honored by launchers
-    /// that share the engine behind a lock (`MpiRuntime`); here it is
-    /// carried for them to consume.
+    /// Progress model (`MPIJAVA_PROGRESS`; default
+    /// [`crate::env::ProgressMode::Manual`]). The engine itself has no
+    /// progress thread: [`launch`] hands the resolved value to the
+    /// launcher's per-rank start hook, and launchers that share the
+    /// engine behind a lock (`MpiRuntime`) start the thread there.
     pub progress: Option<crate::env::ProgressMode>,
-    /// Persistent spool root for the [`DeviceKind::Spool`] device (`None`
-    /// falls back to the `MPIJAVA_SPOOL_DIR` environment override, then
-    /// to an ephemeral per-job temp directory). A persistent root is the
-    /// substrate for late-join and checkpoint/restart.
+    /// Persistent spool root for the [`DeviceKind::Spool`] device
+    /// (`MPIJAVA_SPOOL_DIR`; default: an ephemeral per-job temp
+    /// directory). A persistent root is the substrate for late-join and
+    /// checkpoint/restart.
     pub spool_dir: Option<PathBuf>,
-    /// Heartbeat lease for failure detection (`None` falls back to the
-    /// `MPIJAVA_LEASE_MS` environment override, then to
-    /// [`mpi_transport::DEFAULT_LEASE`]). A rank whose lease goes
-    /// unrefreshed for longer than this is reported dead to its peers.
+    /// Heartbeat lease for failure detection (`MPIJAVA_LEASE_MS`;
+    /// default [`mpi_transport::DEFAULT_LEASE`]). A rank whose lease
+    /// goes unrefreshed for longer than this is reported dead to its
+    /// peers.
     pub lease: Option<Duration>,
-    /// Deterministic fault-injection plan (`None` falls back to the
-    /// `MPIJAVA_FAULT` environment override, then to no faults). Testing
-    /// tool: kills a rank's transport at a chosen operation, or
-    /// drops/delays chosen frames.
+    /// Deterministic fault-injection plan (`MPIJAVA_FAULT`; default: no
+    /// faults). Testing tool: kills a rank's transport at a chosen
+    /// operation, or drops/delays chosen frames.
     pub faults: Option<FaultPlan>,
-    /// Observability level on every rank (`None` falls back to the
-    /// `MPIJAVA_TRACE` environment override, then to off; see
-    /// [`crate::trace`]). `counters` and `events` additionally enable
-    /// the transport's frame counters.
+    /// Observability level on every rank (`MPIJAVA_TRACE`; default off;
+    /// see [`crate::trace`]). `counters` and `events` additionally
+    /// enable the transport's frame counters.
     pub trace: Option<crate::trace::TraceConfig>,
-    /// Directory for finalize-time trace dumps (`None` falls back to
-    /// the `MPIJAVA_TRACE_DIR` environment override, then to
-    /// `<spool root>/trace` when the device has a spool).
+    /// Directory for finalize-time trace dumps (`MPIJAVA_TRACE_DIR`;
+    /// default: `<spool root>/trace` when the device has a spool).
     pub trace_dir: Option<PathBuf>,
 }
 
@@ -99,7 +104,6 @@ impl UniverseConfig {
             nodes: None,
             inter_profile: DeviceProfile::default(),
             inter_network: NetworkModel::unshaped(),
-            processor_name_prefix: None,
             progress: None,
             spool_dir: None,
             lease: None,
@@ -121,14 +125,14 @@ impl UniverseConfig {
         self
     }
 
-    /// Override the eager threshold on every rank.
+    /// Set the eager threshold on every rank.
     pub fn with_eager_threshold(mut self, bytes: usize) -> Self {
         self.eager_threshold = Some(bytes);
         self
     }
 
     /// Enable segmented (pipelined) large-message transfers with the
-    /// given segment size on every rank.
+    /// given segment size on every rank (`0` turns segmentation off).
     pub fn with_segment_bytes(mut self, bytes: usize) -> Self {
         self.segment_bytes = Some(bytes);
         self
@@ -140,8 +144,7 @@ impl UniverseConfig {
         self
     }
 
-    /// Place ranks on nodes (see [`NodeMap`]). Takes precedence over the
-    /// `MPIJAVA_NODES` environment override.
+    /// Place ranks on nodes (see [`NodeMap`]).
     pub fn with_nodes(mut self, nodes: NodeMap) -> Self {
         self.nodes = Some(nodes);
         self
@@ -159,112 +162,186 @@ impl UniverseConfig {
         self
     }
 
-    /// Select the progress model. Takes precedence over the
-    /// `MPIJAVA_PROGRESS` environment override.
+    /// Select the progress model.
     pub fn with_progress(mut self, mode: crate::env::ProgressMode) -> Self {
         self.progress = Some(mode);
         self
     }
 
     /// Keep spooled frames under `dir` across process lifetimes (spool
-    /// device). Takes precedence over the `MPIJAVA_SPOOL_DIR`
-    /// environment override.
+    /// device).
     pub fn with_spool_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spool_dir = Some(dir.into());
         self
     }
 
-    /// Set the heartbeat lease for failure detection. Takes precedence
-    /// over the `MPIJAVA_LEASE_MS` environment override.
+    /// Set the heartbeat lease for failure detection.
     pub fn with_lease(mut self, lease: Duration) -> Self {
         self.lease = Some(lease);
         self
     }
 
-    /// Inject a deterministic fault plan (testing). Takes precedence
-    /// over the `MPIJAVA_FAULT` environment override.
+    /// Inject a deterministic fault plan (testing).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
         self
     }
 
-    /// Set the observability level on every rank. Takes precedence over
-    /// the `MPIJAVA_TRACE` environment override.
+    /// Set the observability level on every rank.
     pub fn with_trace(mut self, trace: crate::trace::TraceConfig) -> Self {
         self.trace = Some(trace);
         self
     }
 
-    /// Set the trace-dump directory on every rank. Takes precedence
-    /// over the `MPIJAVA_TRACE_DIR` environment override.
+    /// Set the trace-dump directory on every rank.
     pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.trace_dir = Some(dir.into());
         self
     }
 
-    /// The placement this configuration resolves to: the explicit map,
-    /// else the `MPIJAVA_NODES` environment override, else flat.
-    pub fn resolved_nodes(&self) -> NodeMap {
-        self.nodes
-            .clone()
-            .or_else(|| crate::env::nodes_from_env(self.size))
-            .unwrap_or_else(|| NodeMap::flat(self.size))
+    /// Fill every knob left `None` from its `MPIJAVA_*` variable, read
+    /// once through `lookup` ([`env::process_env`] when a job launches):
+    /// a value set in code wins, and a variable is not read at all for a
+    /// knob that has one. Unset, blank or malformed variables leave the
+    /// knob `None`, that is at its built-in default (a malformed
+    /// `MPIJAVA_PROGRESS` or `MPIJAVA_TRACE` resolves to its default
+    /// value); each malformed one warns once on stderr. The grammar of
+    /// every variable is in [`crate::env`].
+    pub fn resolve(mut self, lookup: Lookup) -> UniverseConfig {
+        let size = self.size;
+        self.eager_threshold = self
+            .eager_threshold
+            .or_else(|| env::bytes_from(lookup, env::EAGER_LIMIT_ENV));
+        self.segment_bytes = self
+            .segment_bytes
+            .or_else(|| env::bytes_from(lookup, env::SEGMENT_BYTES_ENV));
+        self.coll_algorithm = self
+            .coll_algorithm
+            .or_else(|| crate::coll::CollAlgorithm::from_env(lookup));
+        self.nodes = self.nodes.or_else(|| env::nodes_from(lookup, size));
+        self.progress = self.progress.or_else(|| env::progress_from(lookup));
+        self.spool_dir = self.spool_dir.or_else(|| env::spool_dir_from(lookup));
+        self.lease = self.lease.or_else(|| env::lease_from(lookup));
+        self.faults = self.faults.or_else(|| env::faults_from(lookup));
+        self.trace = self.trace.or_else(|| env::trace_from(lookup));
+        self.trace_dir = self.trace_dir.or_else(|| env::trace_dir_from(lookup));
+        self
     }
 
-    /// The progress model this configuration resolves to: the explicit
-    /// mode, else the `MPIJAVA_PROGRESS` environment override, else
-    /// manual.
-    pub fn resolved_progress(&self) -> crate::env::ProgressMode {
-        self.progress
-            .or_else(crate::env::progress_from_env)
-            .unwrap_or_default()
+    /// The fabric a resolved configuration describes. Any tracing beyond
+    /// `off` also turns on the transport's frame counters.
+    fn fabric(&self) -> FabricConfig {
+        FabricConfig {
+            network: self.network,
+            profile: self.profile,
+            nodes: self
+                .nodes
+                .clone()
+                .unwrap_or_else(|| NodeMap::flat(self.size)),
+            inter_network: self.inter_network,
+            inter_profile: self.inter_profile,
+            spool_dir: self.spool_dir.clone(),
+            lease: self.lease.unwrap_or(mpi_transport::DEFAULT_LEASE),
+            faults: self.faults.clone().unwrap_or_default(),
+            frame_counters: self
+                .trace
+                .is_some_and(|t| t.mode != crate::trace::TraceMode::Off),
+            ..FabricConfig::new(self.size, self.device)
+        }
     }
 
-    /// The spool root this configuration resolves to: the explicit path,
-    /// else the `MPIJAVA_SPOOL_DIR` environment override, else `None`
-    /// (ephemeral).
-    pub fn resolved_spool_dir(&self) -> Option<PathBuf> {
-        self.spool_dir
-            .clone()
-            .or_else(crate::env::spool_dir_from_env)
+    /// One rank's engine over `endpoint`, with the engine-level knobs of
+    /// this resolved configuration applied (knobs left `None` keep the
+    /// engine's defaults).
+    pub(crate) fn engine(&self, endpoint: Box<dyn Endpoint>) -> Engine {
+        let mut engine = Engine::new(endpoint);
+        if let Some(bytes) = self.eager_threshold {
+            engine.set_eager_threshold(bytes);
+        }
+        engine.set_segment_bytes(self.segment_bytes);
+        engine.set_coll_algorithm(self.coll_algorithm);
+        if let Some(trace) = self.trace {
+            engine.set_trace(trace);
+        }
+        if let Some(dir) = &self.trace_dir {
+            engine.set_trace_dir(dir.clone());
+        }
+        engine
     }
+}
 
-    /// The heartbeat lease this configuration resolves to: the explicit
-    /// value, else the `MPIJAVA_LEASE_MS` environment override, else
-    /// [`mpi_transport::DEFAULT_LEASE`].
-    pub fn resolved_lease(&self) -> Duration {
-        self.lease
-            .or_else(crate::env::lease_from_env)
-            .unwrap_or(mpi_transport::DEFAULT_LEASE)
-    }
+/// A rank's running state as [`launch`] sees it: whatever the launcher
+/// wraps the rank's engine in.
+pub trait RankState {
+    /// Abort the job from this rank after its code panicked, so that no
+    /// other rank blocks forever waiting for it.
+    fn abort_job(&mut self);
+}
 
-    /// The fault plan this configuration resolves to: the explicit plan,
-    /// else the `MPIJAVA_FAULT` environment override, else no faults.
-    pub fn resolved_faults(&self) -> FaultPlan {
-        self.faults
-            .clone()
-            .or_else(crate::env::faults_from_env)
-            .unwrap_or_default()
+impl RankState for Engine {
+    fn abort_job(&mut self) {
+        let _ = self.abort(COMM_WORLD, 1);
     }
+}
 
-    /// The trace configuration this configuration resolves to: the
-    /// explicit config, else the `MPIJAVA_TRACE` environment override,
-    /// else off.
-    pub fn resolved_trace(&self) -> crate::trace::TraceConfig {
-        self.trace
-            .or_else(crate::env::trace_from_env)
-            .unwrap_or_default()
+/// Launch a job: resolve `config` once against the process environment
+/// (see [`UniverseConfig::resolve`]), build its fabric, and run one
+/// thread per rank. Each thread builds its rank's configured engine,
+/// wraps it with `start` (which also receives the resolved
+/// configuration) and runs `body` on the result. Returns the per-rank
+/// results in rank order, or the first rank's error.
+///
+/// A panic in `body` aborts the job from that rank (see
+/// [`RankState::abort_job`]) and is reported as an
+/// [`ErrorClass::Aborted`] error naming the rank.
+pub fn launch<S, T, E>(
+    config: UniverseConfig,
+    start: impl Fn(Engine, &UniverseConfig) -> S + Sync,
+    body: impl Fn(&mut S) -> std::result::Result<T, E> + Sync,
+) -> std::result::Result<Vec<T>, E>
+where
+    S: RankState,
+    T: Send,
+    E: From<MpiError> + Send,
+{
+    if config.size == 0 {
+        return Err(MpiError::new(ErrorClass::Arg, "universe size must be at least 1").into());
     }
-
-    /// The trace-dump directory this configuration resolves to: the
-    /// explicit path, else the `MPIJAVA_TRACE_DIR` environment
-    /// override, else `None` (each engine then falls back to
-    /// `<spool root>/trace` when the device has one).
-    pub fn resolved_trace_dir(&self) -> Option<PathBuf> {
-        self.trace_dir
-            .clone()
-            .or_else(crate::env::trace_dir_from_env)
-    }
+    let config = config.resolve(&env::process_env);
+    let endpoints = Fabric::build(config.fabric())
+        .map_err(|e| E::from(MpiError::from(e)))?
+        .into_endpoints();
+    let (config, start, body) = (&config, &start, &body);
+    let results = std::thread::scope(|scope| {
+        let handles: Vec<_> = endpoints
+            .into_iter()
+            .map(|endpoint| {
+                scope.spawn(move || {
+                    let rank = endpoint.rank();
+                    let mut state = start(config.engine(endpoint), config);
+                    catch_unwind(AssertUnwindSafe(|| body(&mut state))).unwrap_or_else(|panic| {
+                        state.abort_job();
+                        let msg = panic
+                            .downcast_ref::<String>()
+                            .cloned()
+                            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                            .unwrap_or_else(|| "rank panicked".to_string());
+                        let msg = format!("rank {rank} panicked: {msg}");
+                        Err(MpiError::new(ErrorClass::Aborted, msg).into())
+                    })
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join().unwrap_or_else(|_| {
+                    Err(MpiError::new(ErrorClass::Intern, "rank thread crashed").into())
+                })
+            })
+            .collect::<Vec<_>>()
+    });
+    results.into_iter().collect()
 }
 
 /// Launcher for SPMD jobs over the engine. See the module documentation.
@@ -283,91 +360,13 @@ impl Universe {
         Self::run_with_config(UniverseConfig::new(size, device), f)
     }
 
-    /// [`Universe::run`] with full control over the fabric configuration.
+    /// [`Universe::run`] with full control over the job configuration.
     pub fn run_with_config<T, F>(config: UniverseConfig, f: F) -> Result<Vec<T>>
     where
         T: Send,
         F: Fn(&mut Engine) -> T + Send + Sync,
     {
-        if config.size == 0 {
-            return Err(MpiError::new(
-                ErrorClass::Arg,
-                "universe size must be at least 1",
-            ));
-        }
-        let mut fabric_config = FabricConfig::new(config.size, config.device)
-            .with_network(config.network)
-            .with_profile(config.profile)
-            .with_nodes(config.resolved_nodes())
-            .with_inter_network(config.inter_network)
-            .with_inter_profile(config.inter_profile)
-            .with_lease(config.resolved_lease())
-            .with_faults(config.resolved_faults());
-        if let Some(dir) = config.resolved_spool_dir() {
-            fabric_config = fabric_config.with_spool_dir(dir);
-        }
-        let trace = config.resolved_trace();
-        if trace.mode != crate::trace::TraceMode::Off {
-            fabric_config = fabric_config.with_frame_counters(true);
-        }
-        let endpoints = Fabric::build(fabric_config)?.into_endpoints();
-        let f = &f;
-        let config = &config;
-
-        let results = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(config.size);
-            for endpoint in endpoints {
-                handles.push(scope.spawn(move || {
-                    let mut engine = Engine::new(endpoint);
-                    if let Some(threshold) = config.eager_threshold {
-                        engine.set_eager_threshold(threshold);
-                    }
-                    if config.segment_bytes.is_some() {
-                        engine.set_segment_bytes(config.segment_bytes);
-                    }
-                    if config.coll_algorithm.is_some() {
-                        engine.set_coll_algorithm(config.coll_algorithm);
-                    }
-                    if config.trace.is_some() {
-                        engine.set_trace(trace);
-                    }
-                    if let Some(dir) = config.resolved_trace_dir() {
-                        engine.set_trace_dir(dir);
-                    }
-                    if let Some(prefix) = &config.processor_name_prefix {
-                        let name = format!("{prefix}{}", engine.world_rank());
-                        engine.set_processor_name(name);
-                    }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut engine)));
-                    match outcome {
-                        Ok(value) => Ok(value),
-                        Err(panic) => {
-                            // Poison the other ranks so they do not hang in
-                            // blocking receives waiting for us.
-                            let _ = engine.abort(COMM_WORLD, 1);
-                            let msg = panic
-                                .downcast_ref::<String>()
-                                .cloned()
-                                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                                .unwrap_or_else(|| "rank panicked".to_string());
-                            Err(MpiError::new(
-                                ErrorClass::Aborted,
-                                format!("rank {} panicked: {msg}", engine.world_rank()),
-                            ))
-                        }
-                    }
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    Err(_) => Err(MpiError::new(ErrorClass::Intern, "rank thread crashed")),
-                })
-                .collect::<Vec<_>>()
-        });
-
-        results.into_iter().collect()
+        launch(config, |engine, _| engine, |engine| Ok(f(engine)))
     }
 
     /// Write a checkpoint record for `engine`'s rank (see
@@ -407,15 +406,10 @@ mod tests {
     }
 
     #[test]
-    fn config_applies_eager_threshold_and_names() {
+    fn config_applies_eager_threshold() {
         let config = UniverseConfig::new(2, DeviceKind::ShmFast).with_eager_threshold(64);
-        let config = UniverseConfig {
-            processor_name_prefix: Some("node".to_string()),
-            ..config
-        };
         Universe::run_with_config(config, |engine| {
             assert_eq!(engine.eager_threshold(), 64);
-            assert!(engine.processor_name().starts_with("node"));
         })
         .unwrap();
     }
@@ -501,24 +495,197 @@ mod tests {
         .unwrap();
     }
 
+    /// A [`Lookup`] that sees no `MPIJAVA_*` variable at all.
+    fn no_env(_: &str) -> Option<String> {
+        None
+    }
+
     #[test]
     fn config_resolves_spool_lease_and_faults() {
-        let config = UniverseConfig::new(2, DeviceKind::Spool)
+        let fabric = UniverseConfig::new(2, DeviceKind::Spool)
             .with_spool_dir("/tmp/spool-x")
             .with_lease(Duration::from_millis(42))
-            .with_faults(FaultPlan::parse("drop:0->1@1").unwrap());
-        assert_eq!(
-            config.resolved_spool_dir(),
-            Some(PathBuf::from("/tmp/spool-x"))
-        );
-        assert_eq!(config.resolved_lease(), Duration::from_millis(42));
-        assert_eq!(config.resolved_faults().actions.len(), 1);
+            .with_faults(FaultPlan::parse("drop:0->1@1").unwrap())
+            .resolve(&no_env)
+            .fabric();
+        assert_eq!(fabric.spool_dir, Some(PathBuf::from("/tmp/spool-x")));
+        assert_eq!(fabric.lease, Duration::from_millis(42));
+        assert_eq!(fabric.faults.actions.len(), 1);
 
         // Defaults: no spool dir, the stock lease, no faults.
-        let plain = UniverseConfig::new(2, DeviceKind::ShmFast);
-        assert_eq!(plain.resolved_spool_dir(), None);
-        assert_eq!(plain.resolved_lease(), mpi_transport::DEFAULT_LEASE);
-        assert!(plain.resolved_faults().is_empty());
+        let plain = UniverseConfig::new(2, DeviceKind::ShmFast)
+            .resolve(&no_env)
+            .fabric();
+        assert_eq!(plain.spool_dir, None);
+        assert_eq!(plain.lease, mpi_transport::DEFAULT_LEASE);
+        assert!(plain.faults.is_empty());
+    }
+
+    /// A one-rank engine configured as `config` configures each rank.
+    fn engine_of(config: &UniverseConfig) -> Engine {
+        let fabric = Fabric::build(FabricConfig::new(1, DeviceKind::ShmFast)).unwrap();
+        config.engine(fabric.into_endpoints().pop().unwrap())
+    }
+
+    /// One knob of the precedence table: its variable, how to set it in
+    /// code, what it resolves to (built-in defaults applied), a valid and
+    /// some malformed variable values, and the expected value when set in
+    /// code, from the variable, and by default.
+    struct Knob {
+        var: &'static str,
+        set: fn(UniverseConfig) -> UniverseConfig,
+        value: fn(&UniverseConfig) -> String,
+        env: &'static str,
+        malformed: &'static [&'static str],
+        expect: [&'static str; 3],
+    }
+
+    #[test]
+    fn explicit_beats_env_beats_default_for_every_knob() {
+        use crate::coll::CollAlgorithm;
+        use crate::env::ProgressMode;
+        use crate::trace::TraceConfig;
+        let knobs = [
+            Knob {
+                var: env::EAGER_LIMIT_ENV,
+                set: |c| c.with_eager_threshold(64),
+                value: |c| format!("{}", engine_of(c).eager_threshold()),
+                env: "2k",
+                malformed: &["12q", "-5"],
+                expect: ["64", "2048", "131072"],
+            },
+            Knob {
+                var: env::SEGMENT_BYTES_ENV,
+                set: |c| c.with_segment_bytes(4096),
+                value: |c| format!("{:?}", engine_of(c).segment_bytes()),
+                env: "1m",
+                malformed: &["lots"],
+                expect: ["Some(4096)", "Some(1048576)", "None"],
+            },
+            Knob {
+                var: crate::coll::COLL_ALG_ENV,
+                set: |c| c.with_coll_algorithm(CollAlgorithm::Ring),
+                value: |c| format!("{:?}", engine_of(c).coll_algorithm()),
+                env: "tree",
+                malformed: &["quantum"],
+                expect: ["Some(Ring)", "Some(BinomialTree)", "None"],
+            },
+            Knob {
+                var: env::NODES_ENV,
+                set: |c| c.with_nodes(NodeMap::regular(2, 2)),
+                value: |c| format!("{:?}", c.fabric().nodes.assignment()),
+                env: "0,1,0,1",
+                malformed: &["2x3", "nodes"],
+                expect: ["[0, 0, 1, 1]", "[0, 1, 0, 1]", "[0, 0, 0, 0]"],
+            },
+            Knob {
+                var: env::PROGRESS_ENV,
+                set: |c| c.with_progress(ProgressMode::Manual),
+                value: |c| format!("{}", c.progress.unwrap_or_default()),
+                env: "thread",
+                malformed: &["turbo"],
+                expect: ["manual", "thread", "manual"],
+            },
+            Knob {
+                var: env::SPOOL_DIR_ENV,
+                set: |c| c.with_spool_dir("/tmp/spool-code"),
+                value: |c| format!("{:?}", c.fabric().spool_dir),
+                env: "/tmp/spool-env",
+                malformed: &[],
+                expect: [
+                    "Some(\"/tmp/spool-code\")",
+                    "Some(\"/tmp/spool-env\")",
+                    "None",
+                ],
+            },
+            Knob {
+                var: env::LEASE_MS_ENV,
+                set: |c| c.with_lease(Duration::from_millis(42)),
+                value: |c| format!("{:?}", c.fabric().lease),
+                env: "250",
+                malformed: &["0", "fast"],
+                expect: ["42ms", "250ms", "1s"],
+            },
+            Knob {
+                var: env::FAULT_ENV,
+                set: |c| c.with_faults(FaultPlan::parse("drop:0->1@1").unwrap()),
+                value: |c| format!("{}", c.fabric().faults.actions.len()),
+                env: "kill:2@5,drop:0->1@3",
+                malformed: &["explode:everything"],
+                expect: ["1", "2", "0"],
+            },
+            Knob {
+                var: env::TRACE_ENV,
+                set: |c| c.with_trace(TraceConfig::counters()),
+                value: |c| format!("{:?}", engine_of(c).trace_config().mode),
+                env: "events",
+                malformed: &["everything"],
+                expect: ["Counters", "Events", "Off"],
+            },
+            Knob {
+                var: env::TRACE_DIR_ENV,
+                set: |c| c.with_trace_dir("/tmp/traces-code"),
+                value: |c| format!("{:?}", engine_of(c).trace_dir()),
+                env: "/tmp/traces-env",
+                malformed: &[],
+                expect: [
+                    "Some(\"/tmp/traces-code\")",
+                    "Some(\"/tmp/traces-env\")",
+                    "None",
+                ],
+            },
+        ];
+        for knob in &knobs {
+            let resolved = |explicit: bool, raw: Option<&str>| {
+                let lookup = |name: &str| raw.filter(|_| name == knob.var).map(str::to_string);
+                let config = UniverseConfig::new(4, DeviceKind::ShmFast);
+                let config = if explicit { (knob.set)(config) } else { config };
+                (knob.value)(&config.resolve(&lookup))
+            };
+            let [explicit, from_env, default] = knob.expect;
+            let var = knob.var;
+            assert_eq!(
+                resolved(true, Some(knob.env)),
+                explicit,
+                "{var}: code over env"
+            );
+            assert_eq!(
+                resolved(false, Some(knob.env)),
+                from_env,
+                "{var}: env over default"
+            );
+            assert_eq!(resolved(false, None), default, "{var}: unset");
+            for raw in ["", "  "].iter().chain(knob.malformed) {
+                assert_eq!(resolved(false, Some(raw)), default, "{var}={raw:?}");
+            }
+        }
+
+        // A segment size of 0 from the environment means no segmentation.
+        let lookup = |name: &str| (name == env::SEGMENT_BYTES_ENV).then(|| "0".to_string());
+        let config = UniverseConfig::new(2, DeviceKind::ShmFast).resolve(&lookup);
+        assert_eq!(engine_of(&config).segment_bytes(), None);
+    }
+
+    #[test]
+    fn resolve_reads_each_variable_at_most_once_and_skips_explicit_knobs() {
+        let asked = std::cell::RefCell::new(Vec::new());
+        let lookup = |name: &str| {
+            asked.borrow_mut().push(name.to_string());
+            None
+        };
+        UniverseConfig::new(2, DeviceKind::ShmFast)
+            .with_eager_threshold(64)
+            .with_trace(crate::trace::TraceConfig::off())
+            .resolve(&lookup);
+        let mut asked = asked.into_inner();
+        assert!(!asked
+            .iter()
+            .any(|n| n == env::EAGER_LIMIT_ENV || n == env::TRACE_ENV));
+        let total = asked.len();
+        asked.sort();
+        asked.dedup();
+        assert_eq!(asked.len(), total, "a variable was read twice");
+        assert_eq!(total, 8);
     }
 
     #[test]
